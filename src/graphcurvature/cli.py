@@ -16,22 +16,15 @@ import json
 import os
 import sys
 import time
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .cliques import count_cliques, euler_characteristic
+from .cliques import graph_euler_characteristic
 from .corpus import base_corpus, er_corpus
 from .curvature import curvature_field
 from .expectation import exact_expectation_by_permutations, mc_index_expectation
-from .graphs import (
-    GENERATOR_KINDS,
-    EdgeListParseError,
-    Graph,
-    generate,
-    load,
-    to_edge_list,
-    to_json,
-)
-from .morse import IndexCalculator, index_report, order_from_values, random_order
+from .graphs import GENERATOR_KINDS, Graph, generate, load, to_edge_list, to_json
+from .morse import index_report, order_from_values, poincare_hopf_chi, random_order
 from .percolation import MODES, clique_survival_integral, survival_grid
 from .trials import DEFAULT_SEED, TrialPlan
 from .verify import SUITES, run_suites, summarize
@@ -98,42 +91,30 @@ def parse_function_file(text: str, n: int) -> tuple[int, ...]:
     return order_from_values([values[v] for v in range(n)])
 
 
-def emit(text: str, output: str | None):
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def to_csv(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def dumps(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-# ---------------------------------------------------------------- commands
+@dataclass(frozen=True)
+class Output:
+    """One command's result in every format; ``main`` writes the chosen one."""
 
+    json: str
+    header: list[str]
+    rows: list[list]
+    human: str
+    code: int = 0
 
-def cmd_generate(args) -> int:
-    G = load_graph(args.graph)
-    if args.format == "json":
-        emit(to_json(G) + "\n", args.output)
-    elif args.format == "csv":
-        emit(to_csv(["u", "v"], [[u, v] for u, v in G.edges]), args.output)
-    else:
-        emit(to_edge_list(G), args.output)
-    return 0
-
-
-def chi_by_cliques(G: Graph, progress=None) -> int:
-    return euler_characteristic(count_cliques(G, progress=progress, progress_interval=100_000))
+    def render(self, fmt: str) -> str:
+        if fmt == "json":
+            return self.json
+        if fmt == "human":
+            return self.human
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(self.header)
+        writer.writerows(self.rows)
+        return buf.getvalue()
 
 
 def chi_by_curvature(G: Graph) -> int:
@@ -143,52 +124,53 @@ def chi_by_curvature(G: Graph) -> int:
     return int(total)
 
 
-def chi_by_index(G: Graph, seed: int, deadline=None) -> int:
-    calc = IndexCalculator(G)
-    order = random_order(G.n, seed)
-    total = 0
-    for x in range(G.n):
-        if deadline is not None:
-            deadline.check()
-        total += calc.index(order, x)
-    return total
+# method -> route(G, seed, progress). Each route names the library function
+# at call time, so a function replaced on its module (as perfbench's tracer
+# does) is the one that runs. ``progress`` may raise to abort; the curvature
+# route ignores it.
+CHI_ROUTES = {
+    "cliques": lambda G, seed, progress: graph_euler_characteristic(G, progress=progress),
+    "curvature": lambda G, seed, progress: chi_by_curvature(G),
+    "index": lambda G, seed, progress: poincare_hopf_chi(
+        G, random_order(G.n, seed), progress=progress
+    ),
+}
 
 
-def cmd_chi(args) -> int:
+# ---------------------------------------------------------------- commands
+
+
+def cmd_generate(args) -> Output:
+    G = load_graph(args.graph)
+    return Output(to_json(G) + "\n", ["u", "v"], list(G.edges), to_edge_list(G))
+
+
+def cmd_chi(args) -> Output:
     G = load_graph(args.graph)
     seed = resolve_seed(args)
     start = time.perf_counter()
-    if args.method == "cliques":
-        chi = chi_by_cliques(G)
-    elif args.method == "curvature":
-        chi = chi_by_curvature(G)
-    else:
-        chi = chi_by_index(G, seed)
+    chi = CHI_ROUTES[args.method](G, seed, None)
     millis = (time.perf_counter() - start) * 1000.0
-    if args.format == "json":
-        emit(dumps({"method": args.method, "chi": chi, "millis": round(millis, 3)}), args.output)
-    elif args.format == "csv":
-        emit(to_csv(["method", "chi", "millis"], [[args.method, chi, f"{millis:.3f}"]]), args.output)
-    else:
-        emit(f"chi = {chi}  (method={args.method}, {millis:.1f} ms)\n", args.output)
-    return 0
+    return Output(
+        dumps({"method": args.method, "chi": chi, "millis": round(millis, 3)}),
+        ["method", "chi", "millis"],
+        [[args.method, chi, f"{millis:.3f}"]],
+        f"chi = {chi}  (method={args.method}, {millis:.1f} ms)\n",
+    )
 
 
-def cmd_curvature(args) -> int:
-    G = load_graph(args.graph)
-    field = curvature_field(G)
-    if args.format == "json":
-        emit(dumps(field.to_json_dict()), args.output)
-    elif args.format == "csv":
-        rows = [[x, str(K)] for x, K in enumerate(field.values)]
-        emit(to_csv(["vertex", "curvature"], rows), args.output)
-    else:
-        lines = [f"{x:>6}  {K}" for x, K in enumerate(field.values)]
-        emit("vertex  curvature\n" + "\n".join(lines) + f"\ntotal = {field.total}\n", args.output)
-    return 0
+def cmd_curvature(args) -> Output:
+    field = curvature_field(load_graph(args.graph))
+    lines = [f"{x:>6}  {K}" for x, K in enumerate(field.values)]
+    return Output(
+        dumps(field.to_json_dict()),
+        ["vertex", "curvature"],
+        [[x, str(K)] for x, K in enumerate(field.values)],
+        "vertex  curvature\n" + "\n".join(lines) + f"\ntotal = {field.total}\n",
+    )
 
 
-def cmd_index(args) -> int:
+def cmd_index(args) -> Output:
     G = load_graph(args.graph)
     if args.function:
         with open(args.function) as fh:
@@ -196,92 +178,50 @@ def cmd_index(args) -> int:
     else:
         order = random_order(G.n, resolve_seed(args))
     report = index_report(G, order)
-    if args.format == "json":
-        emit(dumps(report.to_json_dict()), args.output)
-    elif args.format == "csv":
-        rows = [
+    lines = [
+        f"{x:>6}  {report.order[x]:>4}  {report.indices[x]:>3}  {str(report.symmetric[x]):>6}"
+        for x in range(G.n)
+    ]
+    return Output(
+        dumps(report.to_json_dict()),
+        ["vertex", "rank", "i", "i_reversed", "j"],
+        [
             [x, report.order[x], report.indices[x], report.reverse_indices[x], str(report.symmetric[x])]
             for x in range(G.n)
-        ]
-        emit(to_csv(["vertex", "rank", "i", "i_reversed", "j"], rows), args.output)
-    else:
-        lines = [
-            f"{x:>6}  {report.order[x]:>4}  {report.indices[x]:>3}  {str(report.symmetric[x]):>6}"
-            for x in range(G.n)
-        ]
-        emit(
-            "vertex  rank    i       j\n"
-            + "\n".join(lines)
-            + f"\nindex sum = {report.index_sum}, symmetric sum = {report.symmetric_sum}\n",
-            args.output,
-        )
-    return 0
+        ],
+        "vertex  rank    i       j\n"
+        + "\n".join(lines)
+        + f"\nindex sum = {report.index_sum}, symmetric sum = {report.symmetric_sum}\n",
+    )
 
 
-def cmd_expectation(args) -> int:
+def cmd_expectation(args) -> Output:
     G = load_graph(args.graph)
     seed = resolve_seed(args)
     plan = TrialPlan(samples=args.samples, master_seed=seed, workers=args.threads)
     report = mc_index_expectation(G, plan, with_exact=args.exact, exact_degree_cap=args.degree_cap)
     payload = report.to_json_dict()
+    header = ["vertex", "samples", "estimate", "stderr", "exact", "curvature"]
     if args.permutation_oracle:
         oracle = exact_expectation_by_permutations(G)
         for row, val in zip(payload["rows"], oracle):
             row["permutation_oracle"] = str(val)
-    if args.format == "json":
-        emit(dumps(payload), args.output)
-    elif args.format == "csv":
-        header = ["vertex", "samples", "estimate", "stderr", "exact", "curvature"]
-        if args.permutation_oracle:
-            header.append("permutation_oracle")
-        rows = []
-        for row in payload["rows"]:
-            out = [row["vertex"], row["samples"], row["estimate"], row["stderr"], row.get("exact", ""), row["curvature"]]
-            if args.permutation_oracle:
-                out.append(row["permutation_oracle"])
-            rows.append(out)
-        emit(to_csv(header, rows), args.output)
-    else:
-        lines = ["vertex  estimate    stderr      curvature"]
-        for row in payload["rows"]:
-            se = "n/a" if row["stderr"] is None else f"{row['stderr']:.6f}"
-            lines.append(f"{row['vertex']:>6}  {row['estimate']:>9.6f}  {se:>9}  {row['curvature']:>9}")
-        emit("\n".join(lines) + f"\nsamples = {args.samples}, seed = {seed}\n", args.output)
-    return 0
+        header.append("permutation_oracle")
+    rows = []
+    lines = ["vertex  estimate    stderr      curvature"]
+    for row in payload["rows"]:
+        rows.append([row.get(key, "") for key in header])
+        se = "n/a" if row["stderr"] is None else f"{row['stderr']:.6f}"
+        lines.append(f"{row['vertex']:>6}  {row['estimate']:>9.6f}  {se:>9}  {row['curvature']:>9}")
+    human = "\n".join(lines) + f"\nsamples = {args.samples}, seed = {seed}\n"
+    return Output(dumps(payload), header, rows, human)
 
 
-def cmd_percolation(args) -> int:
+def cmd_percolation(args) -> Output:
     G = load_graph(args.graph)
     seed = resolve_seed(args)
-    if args.grid:
-        points = [(i + 0.5) / args.grid for i in range(args.grid)]
-        rows = survival_grid(
-            G, args.k, args.trials, seed=seed, mode=args.mode, grid=points, workers=args.threads
-        )
-        payload = {
-            "mode": args.mode,
-            "k": args.k,
-            "trials": args.trials,
-            "master_seed": seed,
-            "rows": [
-                {**r, "exact": str(r["exact"]) if isinstance(r["exact"], Fraction) else r["exact"]}
-                for r in rows
-            ],
-        }
-        if args.format == "json":
-            emit(dumps(payload), args.output)
-        elif args.format == "csv":
-            emit(
-                to_csv(
-                    ["p", "ratio", "stderr", "exact"],
-                    [[r["p"], r["ratio"], r["stderr"], r["exact"]] for r in payload["rows"]],
-                ),
-                args.output,
-            )
-        else:
-            lines = [f"{r['p']:>6.3f}  {r['ratio']:>9.6f}  {r['exact']}" for r in payload["rows"]]
-            emit("     p      ratio  exact\n" + "\n".join(lines) + "\n", args.output)
-        return 0
+    if args.grid is not None:
+        return percolation_grid(G, seed, args)
     report = clique_survival_integral(
         G,
         args.k,
@@ -292,29 +232,48 @@ def cmd_percolation(args) -> int:
         fixed_p=args.fixed_p,
         row_limit=args.rows,
     )
-    if args.format == "json":
-        emit(dumps(report.to_json_dict()), args.output)
-    elif args.format == "csv":
-        body = to_csv(
-            ["trial", "p", "ratio"],
-            [[r["trial"], r.get("p", args.fixed_p), r["ratio"]] for r in report.rows],
-        )
-        s = report.summary
-        exact = s.exact if not isinstance(s.exact, Fraction) else str(s.exact)
-        body += f"# summary mode={s.mode} k={s.k} trials={s.trials} estimate={s.estimate} stderr={s.stderr} exact={exact}\n"
-        emit(body, args.output)
-    else:
-        s = report.summary
-        se = "n/a" if s.stderr is None else f"{s.stderr:.6f}"
-        emit(
-            f"mode={s.mode} k={s.k} trials={s.trials} hosts v_k={s.host_count}\n"
-            f"estimate = {s.estimate:.6f}, stderr = {se}, exact = {s.exact}\n",
-            args.output,
-        )
-    return 0
+    s = report.summary
+    exact = s.exact if not isinstance(s.exact, Fraction) else str(s.exact)
+    rows = [[r["trial"], r.get("p", args.fixed_p), r["ratio"]] for r in report.rows]
+    # The summary rides as a one-field row: it holds no comma or quote, so
+    # the CSV writer leaves it unquoted.
+    rows.append([
+        f"# summary mode={s.mode} k={s.k} trials={s.trials} estimate={s.estimate} "
+        f"stderr={s.stderr} exact={exact}"
+    ])
+    se = "n/a" if s.stderr is None else f"{s.stderr:.6f}"
+    return Output(
+        dumps(report.to_json_dict()),
+        ["trial", "p", "ratio"],
+        rows,
+        f"mode={s.mode} k={s.k} trials={s.trials} hosts v_k={s.host_count}\n"
+        f"estimate = {s.estimate:.6f}, stderr = {se}, exact = {s.exact}\n",
+    )
 
 
-def cmd_verify(args) -> int:
+def percolation_grid(G: Graph, seed: int, args) -> Output:
+    if args.grid < 1:
+        raise ValueError(f"--grid must be at least 1, got {args.grid}")
+    if args.fixed_p is not None or args.rows:
+        raise ValueError("--grid sweeps p itself and reports no trial rows; drop --fixed-p and --rows")
+    points = [(i + 0.5) / args.grid for i in range(args.grid)]
+    rows = [
+        {**r, "exact": str(r["exact"]) if isinstance(r["exact"], Fraction) else r["exact"]}
+        for r in survival_grid(
+            G, args.k, args.trials, seed=seed, mode=args.mode, grid=points, workers=args.threads
+        )
+    ]
+    payload = {"mode": args.mode, "k": args.k, "trials": args.trials, "master_seed": seed, "rows": rows}
+    lines = [f"{r['p']:>6.3f}  {r['ratio']:>9.6f}  {r['exact']}" for r in rows]
+    return Output(
+        dumps(payload),
+        ["p", "ratio", "stderr", "exact"],
+        [[r["p"], r["ratio"], r["stderr"], r["exact"]] for r in rows],
+        "     p      ratio  exact\n" + "\n".join(lines) + "\n",
+    )
+
+
+def cmd_verify(args) -> Output:
     if args.graph:
         graphs = [(args.graph, load_graph(args.graph))]
     else:
@@ -322,18 +281,15 @@ def cmd_verify(args) -> int:
     suites = SUITES if args.suite == "all" else (args.suite,)
     results = run_suites(graphs, suites=suites, seed=resolve_seed(args), degree_cap=args.degree_cap)
     summary = summarize(results)
-    if args.format == "json":
-        emit(dumps({"results": [r.to_json_dict() for r in results], "summary": summary}), args.output)
-    elif args.format == "csv":
-        rows = [[r.suite, r.name, r.status, r.detail] for r in results]
-        emit(to_csv(["suite", "name", "status", "detail"], rows), args.output)
-    else:
-        lines = [f"{r.status:<4}  {r.suite:<13} {r.name}  {r.detail}" for r in results]
-        lines.append(
-            f"{summary['passed']} passed, {summary['failed']} failed, {summary['skipped']} skipped"
-        )
-        emit("\n".join(lines) + "\n", args.output)
-    return 0 if summary["ok"] else 1
+    lines = [f"{r.status:<4}  {r.suite:<13} {r.name}  {r.detail}" for r in results]
+    lines.append(f"{summary['passed']} passed, {summary['failed']} failed, {summary['skipped']} skipped")
+    return Output(
+        dumps({"results": [r.to_json_dict() for r in results], "summary": summary}),
+        ["suite", "name", "status", "detail"],
+        [[r.suite, r.name, r.status, r.detail] for r in results],
+        "\n".join(lines) + "\n",
+        code=0 if summary["ok"] else 1,
+    )
 
 
 class _BenchTimeout(Exception):
@@ -349,23 +305,18 @@ class _Deadline:
             raise _BenchTimeout
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args) -> Output:
     seeds = [int(s) for s in args.seeds.split(",")]
     rows = []
     chis: dict[int, set[int]] = {}
     for seed in seeds:
         G = generate("erdos_renyi", n=args.n, q=args.q, seed=seed)
-        for method in ("cliques", "curvature", "index"):
+        for method, route in CHI_ROUTES.items():
             for _ in range(args.repetitions):
                 deadline = _Deadline(args.budget_ms)
                 start = time.perf_counter()
                 try:
-                    if method == "cliques":
-                        chi = chi_by_cliques(G, progress=deadline.check)
-                    elif method == "curvature":
-                        chi = chi_by_curvature(G)
-                    else:
-                        chi = chi_by_index(G, seed, deadline=deadline)
+                    chi = route(G, seed, deadline.check)
                     millis = f"{(time.perf_counter() - start) * 1000.0:.3f}"
                     chis.setdefault(seed, set()).add(chi)
                 except _BenchTimeout:
@@ -374,20 +325,12 @@ def cmd_bench(args) -> int:
     disagree = {s: v for s, v in chis.items() if len(v) > 1}
     if disagree:
         raise AssertionError(f"chi routes disagree: {disagree}")
-    if args.format == "json":
-        emit(
-            dumps([
-                {"method": m, "n": n, "q": q, "seed": s, "millis": ms}
-                for m, n, q, s, ms in rows
-            ]),
-            args.output,
-        )
-    elif args.format == "human":
-        lines = [f"{m:<10} n={n} q={q} seed={s}  {ms} ms" for m, n, q, s, ms in rows]
-        emit("\n".join(lines) + "\n", args.output)
-    else:
-        emit(to_csv(["method", "n", "q", "seed", "millis"], rows), args.output)
-    return 0
+    return Output(
+        dumps([{"method": m, "n": n, "q": q, "seed": s, "millis": ms} for m, n, q, s, ms in rows]),
+        ["method", "n", "q", "seed", "millis"],
+        rows,
+        "\n".join(f"{m:<10} n={n} q={q} seed={s}  {ms} ms" for m, n, q, s, ms in rows) + "\n",
+    )
 
 
 # ---------------------------------------------------------------- parser
@@ -415,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chi", help="Euler characteristic by cliques, curvature, or index route")
     p.add_argument("graph")
-    p.add_argument("--method", choices=("cliques", "curvature", "index"), default="cliques")
+    p.add_argument("--method", choices=tuple(CHI_ROUTES), default="cliques")
     add_common(p)
     p.set_defaults(func=cmd_chi)
 
@@ -427,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("index", help="per-vertex indices of one injective function")
     p.add_argument("graph")
     p.add_argument("--function", help="file of 'vertex value' lines; values must be injective")
-    p.add_argument("--random-order", action="store_true", help="draw the order from the seed (default)")
     add_common(p)
     p.set_defaults(func=cmd_index)
 
@@ -471,21 +413,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        out = args.func(args)
+        text = out.render(args.format)
+        if args.output:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return out.code
     except BrokenPipeError:
         return 0
     except AssertionError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    except (
-        EdgeListParseError,
-        ValueError,
-        OSError,
-        json.JSONDecodeError,
-    ) as exc:
+    except (ValueError, OSError) as exc:  # parse errors are ValueErrors too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -158,8 +158,14 @@ def euler_characteristic(fvector: Sequence[int]) -> int:
     return sum(c if k % 2 == 0 else -c for k, c in enumerate(fvector))
 
 
-def graph_euler_characteristic(G: Graph) -> int:
-    return euler_characteristic(count_cliques(G))
+def graph_euler_characteristic(G: Graph,
+                               progress: Callable[[int], None] | None = None) -> int:
+    """Euler characteristic from the f-vector of G.
+
+    ``progress`` is passed to ``count_cliques``, which calls it about every
+    100_000 clique visits; it may raise to abort.
+    """
+    return euler_characteristic(count_cliques(G, progress=progress, progress_interval=100_000))
 
 
 def vertex_clique_degrees(G: Graph, x: int) -> FVector:

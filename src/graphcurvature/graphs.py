@@ -178,11 +178,28 @@ def to_edge_list(G: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_int(value, what: str) -> int:
+    # bool is an int subclass; a JSON true/false is not a vertex count or id.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"graph JSON: {what} must be an integer, got {value!r}")
+    return value
+
+
 def from_json(text: str) -> Graph:
+    """Parse {"n": int, "edges": [[u, v], ...]}; anything else is a ValueError."""
     obj = json.loads(text)
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise ValueError('graph JSON must be {"n": int, "edges": [[u, v], ...]}')
-    return Graph.from_edges(int(obj["n"]), [(int(u), int(v)) for u, v in obj["edges"]])
+    n = _json_int(obj["n"], "n")
+    if not isinstance(obj["edges"], list):
+        raise ValueError(f'graph JSON: "edges" must be a list of [u, v] pairs, got {obj["edges"]!r}')
+    edges = []
+    for i, edge in enumerate(obj["edges"]):
+        if not isinstance(edge, list) or len(edge) != 2:
+            raise ValueError(f"graph JSON: edge {i} must be a [u, v] pair, got {edge!r}")
+        u, v = (_json_int(end, f"edge {i} endpoint") for end in edge)
+        edges.append((u, v))
+    return Graph.from_edges(n, edges)
 
 
 def to_json(G: Graph) -> str:
@@ -273,36 +290,31 @@ def erdos_renyi(n: int, q: float, seed: int) -> Graph:
     return Graph.from_edges(n, [p for p, d in zip(pairs, draws) if d < q])
 
 
-GENERATOR_KINDS = (
-    "cycle", "path", "tree_random", "complete", "star",
-    "octahedron", "icosahedron", "erdos_renyi",
-)
+# kind -> builder(need, seed); ``need(name)`` returns parameter n or q, or
+# raises when the caller did not give it.
+_GENERATORS = {
+    "cycle": lambda need, seed: cycle_graph(need("n")),
+    "path": lambda need, seed: path_graph(need("n")),
+    "tree_random": lambda need, seed: random_tree(need("n"), seed),
+    "complete": lambda need, seed: complete_graph(need("n")),
+    "star": lambda need, seed: star_graph(need("n")),
+    "octahedron": lambda need, seed: octahedron(),
+    "icosahedron": lambda need, seed: icosahedron(),
+    "erdos_renyi": lambda need, seed: erdos_renyi(need("n"), need("q"), seed),
+}
+GENERATOR_KINDS = tuple(_GENERATORS)
 
 
 def generate(kind: str, n: int | None = None, q: float | None = None,
              seed: int = 0) -> Graph:
     """Dispatch to a named generator; deterministic given (kind, params, seed)."""
-    def need_n():
-        if n is None:
-            raise ValueError(f"generator {kind!r} needs n")
-        return n
+    if kind not in _GENERATORS:
+        raise ValueError(f"unknown generator kind {kind!r}; known: {', '.join(GENERATOR_KINDS)}")
+    params = {"n": n, "q": q}
 
-    if kind == "cycle":
-        return cycle_graph(need_n())
-    if kind == "path":
-        return path_graph(need_n())
-    if kind == "complete":
-        return complete_graph(need_n())
-    if kind == "star":
-        return star_graph(need_n())
-    if kind == "tree_random":
-        return random_tree(need_n(), seed)
-    if kind == "octahedron":
-        return octahedron()
-    if kind == "icosahedron":
-        return icosahedron()
-    if kind == "erdos_renyi":
-        if q is None:
-            raise ValueError("erdos_renyi needs edge probability q")
-        return erdos_renyi(need_n(), q, seed)
-    raise ValueError(f"unknown generator kind {kind!r}; known: {', '.join(GENERATOR_KINDS)}")
+    def need(name: str):
+        if params[name] is None:
+            raise ValueError(f"generator {kind!r} needs {name}")
+        return params[name]
+
+    return _GENERATORS[kind](need, seed)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -94,10 +94,21 @@ def symmetric_index(G: Graph, order: Sequence[int], x: int) -> Fraction:
     return Fraction(index(G, order, x) + index(G, reverse_order(order), x), 2)
 
 
-def poincare_hopf_chi(G: Graph, order: Sequence[int]) -> int:
-    """Euler characteristic computed as the sum of indices of one function."""
+def poincare_hopf_chi(G: Graph, order: Sequence[int],
+                      progress: Callable[[int], None] | None = None) -> int:
+    """Euler characteristic computed as the sum of indices of one function.
+
+    ``progress`` is called with each vertex before its index is evaluated,
+    and may raise to abort.
+    """
+    ranks = validate_order(order, G.n)
     calc = IndexCalculator(G)
-    return calc.index_sum(validate_order(order, G.n))
+    total = 0
+    for x in range(G.n):
+        if progress is not None:
+            progress(x)
+        total += calc.index(ranks, x)
+    return total
 
 
 @dataclass(frozen=True)

@@ -66,6 +66,14 @@ class TestChi:
         code, out = run_cli(capsys, "chi", "cycle:n=5")
         assert code == 0 and "chi = 0" in out and "ms" in out
 
+    @pytest.mark.parametrize("text", ['{"n": 3.7, "edges": [[0, 1.9]]}', '{"n": 3, "edges": 5}'])
+    def test_bad_json_graph_is_usage_error(self, capsys, tmp_path, text):
+        path = tmp_path / "g.json"
+        path.write_text(text)
+        assert main(["chi", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: graph JSON")
+
 
 class TestCurvature:
     def test_json_format(self, capsys):
@@ -173,6 +181,18 @@ class TestPercolation:
         rows = json.loads(out)["rows"]
         assert [r["p"] for r in rows] == [0.125, 0.375, 0.625, 0.875]
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--grid", "0"], "--grid must be at least 1, got 0"),
+        (["--grid", "-2"], "--grid must be at least 1, got -2"),
+        (["--grid", "4", "--fixed-p", "0.5"], "drop --fixed-p and --rows"),
+        (["--grid", "4", "--rows", "3"], "drop --fixed-p and --rows"),
+    ])
+    def test_bad_grid_is_usage_error(self, capsys, extra, message):
+        code = main(["percolation", "complete:n=5", "--k", "1", "--trials", "50", *extra])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert message in captured.err
+
     def test_no_hosts(self, capsys):
         assert run_cli(capsys, "percolation", "cycle:n=5", "--k", "2", "--trials", "10")[0] == 2
 
@@ -209,6 +229,14 @@ class TestBench:
             method, n, q, seed, millis = line.split(",")
             assert method in ("cliques", "curvature", "index")
             assert millis == "timeout" or float(millis) >= 0
+
+    def test_index_route_honours_budget(self, capsys):
+        # The deadline is checked once per vertex on the index route; a zero
+        # budget stops it before the first index.
+        code, out = run_cli(capsys, "bench", "--n", "30", "--q", "0.3", "--budget-ms", "0")
+        assert code == 0
+        millis = {line.split(",")[0]: line.split(",")[-1] for line in out.strip().splitlines()[1:]}
+        assert millis["index"] == "timeout"
 
     def test_empty_graph_rows(self, capsys):
         code, out = run_cli(capsys, "bench", "--n", "0", "--q", "0.5")

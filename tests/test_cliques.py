@@ -148,6 +148,22 @@ class TestEuler:
         assert graph_euler_characteristic(complete_graph(6)) == 1
         assert graph_euler_characteristic(octahedron()) == 2
 
+    def test_graph_euler_characteristic_progress(self):
+        # K_17 has 2^17 - 1 cliques: the hook runs once, the first time the
+        # visit count is checked past 100_000.
+        seen = []
+        assert graph_euler_characteristic(complete_graph(17), progress=seen.append) == 1
+        assert len(seen) == 1 and 100_000 <= seen[0] < 2**17
+
+        class Stop(Exception):
+            pass
+
+        def stop(visits):
+            raise Stop
+
+        with pytest.raises(Stop):
+            graph_euler_characteristic(complete_graph(17), progress=stop)
+
 
 class TestVertexCliqueDegrees:
     def test_matches_sphere_counts(self):

@@ -100,6 +100,21 @@ class TestJson:
         payload = json.loads(to_json(cycle_graph(3)))
         assert payload == {"n": 3, "edges": [[0, 1], [0, 2], [1, 2]]}
 
+    @pytest.mark.parametrize("text", [
+        '{"n": 3.7, "edges": [[0, 1.9]]}',
+        '{"n": 3, "edges": [[0, 1.9]]}',
+        '{"n": true, "edges": []}',
+        '{"n": null, "edges": []}',
+        '{"n": "3", "edges": []}',
+        '{"n": 3, "edges": 5}',
+        '{"n": 3, "edges": [0, 1]}',
+        '{"n": 3, "edges": [[0, 1, 2]]}',
+        '{"n": 3, "edges": [[0, false]]}',
+    ])
+    def test_rejects_non_integers_and_malformed_edges(self, text):
+        with pytest.raises(ValueError, match="graph JSON"):
+            from_json(text)
+
     def test_loads_sniffs_format(self):
         G = cycle_graph(5)
         assert loads(to_json(G)) == G

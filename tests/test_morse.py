@@ -176,6 +176,22 @@ class TestPoincareHopf:
         assert poincare_hopf_chi(G, (0, 1)) == 1
         assert poincare_hopf_chi(G, (1, 0)) == 1
 
+    def test_progress_once_per_vertex(self):
+        G = icosahedron()
+        seen = []
+        assert poincare_hopf_chi(G, random_order(G.n, 2), progress=seen.append) == 2
+        assert seen == list(range(G.n))
+
+        class Stop(Exception):
+            pass
+
+        def stop(x):
+            if x == 3:
+                raise Stop
+
+        with pytest.raises(Stop):
+            poincare_hopf_chi(G, random_order(G.n, 2), progress=stop)
+
 
 class TestIndexReport:
     def test_sums_and_symmetry(self):
