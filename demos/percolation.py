@@ -29,7 +29,7 @@ def main():
         print()
 
     print("Monte Carlo with p drawn uniformly each trial "
-          "(20000 trials, 4 workers):\n")
+          "(20000 trials):\n")
     for name, G in hosts:
         rep = gc.clique_survival_integral(G, 2, 20_000, seed=21, workers=4)
         s = rep.summary

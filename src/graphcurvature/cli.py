@@ -117,8 +117,8 @@ class Output:
         return buf.getvalue()
 
 
-def chi_by_curvature(G: Graph) -> int:
-    total = curvature_field(G).total
+def chi_by_curvature(G: Graph, progress=None) -> int:
+    total = curvature_field(G, progress).total
     if total.denominator != 1:
         raise AssertionError(f"total curvature {total} is not an integer")
     return int(total)
@@ -126,15 +126,20 @@ def chi_by_curvature(G: Graph) -> int:
 
 # method -> route(G, seed, progress). Each route names the library function
 # at call time, so a function replaced on its module (as perfbench's tracer
-# does) is the one that runs. ``progress`` may raise to abort; the curvature
-# route ignores it.
+# does) is the one that runs. Every route calls ``progress`` as it works, and
+# it may raise to abort.
 CHI_ROUTES = {
     "cliques": lambda G, seed, progress: graph_euler_characteristic(G, progress=progress),
-    "curvature": lambda G, seed, progress: chi_by_curvature(G),
+    "curvature": lambda G, seed, progress: chi_by_curvature(G, progress),
     "index": lambda G, seed, progress: poincare_hopf_chi(
         G, random_order(G.n, seed), progress=progress
     ),
 }
+
+
+def check_degree_cap(cap: int):
+    if cap < 0:
+        raise ValueError(f"--degree-cap must be at least 0, got {cap}")
 
 
 # ---------------------------------------------------------------- commands
@@ -196,6 +201,7 @@ def cmd_index(args) -> Output:
 
 
 def cmd_expectation(args) -> Output:
+    check_degree_cap(args.degree_cap)
     G = load_graph(args.graph)
     seed = resolve_seed(args)
     plan = TrialPlan(samples=args.samples, master_seed=seed, workers=args.threads)
@@ -274,6 +280,7 @@ def percolation_grid(G: Graph, seed: int, args) -> Output:
 
 
 def cmd_verify(args) -> Output:
+    check_degree_cap(args.degree_cap)
     if args.graph:
         graphs = [(args.graph, load_graph(args.graph))]
     else:
@@ -306,6 +313,8 @@ class _Deadline:
 
 
 def cmd_bench(args) -> Output:
+    if args.repetitions < 1:
+        raise ValueError(f"--repetitions must be at least 1, got {args.repetitions}")
     seeds = [int(s) for s in args.seeds.split(",")]
     rows = []
     chis: dict[int, set[int]] = {}
@@ -349,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
         if seed:
             p.add_argument("--seed", type=int, default=None, help="override DISCRETE_GB_SEED / built-in default")
         if threads:
-            p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+            p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                           help="accepted; trials run in one thread and results do not depend on it")
 
     p = sub.add_parser("generate", help="emit a graph as edge-list text, CSV, or JSON")
     p.add_argument("graph", help="generator spec like cycle:n=6 or erdos_renyi:n=20,q=0.3,seed=1")

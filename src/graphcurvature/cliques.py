@@ -109,32 +109,19 @@ def cliques_of_size(G: Graph, size: int) -> tuple[int, ...]:
     """All cliques on exactly ``size`` vertices, each as a vertex bitmask."""
     if size < 1:
         raise ValueError(f"clique size must be >= 1, got {size}")
-    out: list[int] = []
-    masks = G.adjacency_masks
-
-    def collect(cand: int, cur: int, depth: int):
-        m = cand
-        while m:
-            b = m & -m
-            m ^= b
-            if depth == size:
-                out.append(cur | b)
-            else:
-                sub = m & masks[b.bit_length() - 1]
-                if sub:
-                    collect(sub, cur | b, depth + 1)
-
-    if G.n:
-        collect((1 << G.n) - 1, 0, 1)
-    return tuple(out)
+    groups = cliques_by_size_in_mask(G.adjacency_masks, (1 << G.n) - 1, size)
+    return groups[size - 1] if len(groups) >= size else ()
 
 
-def cliques_by_size_in_mask(masks: Sequence[int], candidates: int) -> tuple[tuple[int, ...], ...]:
+def cliques_by_size_in_mask(masks: Sequence[int], candidates: int,
+                            max_size: int | None = None) -> tuple[tuple[int, ...], ...]:
     """All cliques within the ``candidates`` bitmask, grouped by dimension.
 
-    Entry k holds the vertex bitmasks of the (k+1)-vertex cliques.
+    Entry k holds the vertex bitmasks of the (k+1)-vertex cliques, in
+    enumeration order.  ``max_size`` caps the clique size listed.
     """
     groups: list[list[int]] = []
+    limit = max_size if max_size is not None else len(masks)
 
     def grow(cand: int, cur: int, size: int):
         m = cand
@@ -144,11 +131,12 @@ def cliques_by_size_in_mask(masks: Sequence[int], candidates: int) -> tuple[tupl
             if size > len(groups):
                 groups.append([])
             groups[size - 1].append(cur | b)
-            sub = m & masks[b.bit_length() - 1]
-            if sub:
-                grow(sub, cur | b, size + 1)
+            if size < limit:
+                sub = m & masks[b.bit_length() - 1]
+                if sub:
+                    grow(sub, cur | b, size + 1)
 
-    if candidates:
+    if candidates and limit >= 1:
         grow(candidates, 0, 1)
     return tuple(tuple(g) for g in groups)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .cliques import count_cliques, euler_characteristic, vertex_clique_degrees
 from .graphs import Graph
@@ -42,9 +43,18 @@ class CurvatureField:
         return d
 
 
-def curvature_field(G: Graph) -> CurvatureField:
-    values = tuple(curvature(G, x) for x in range(G.n))
-    return CurvatureField(values, sum(values, Fraction(0)))
+def curvature_field(G: Graph,
+                    progress: Callable[[int], None] | None = None) -> CurvatureField:
+    """Curvature at every vertex, and their total.
+
+    ``progress`` is called with each vertex first, and may raise to abort.
+    """
+    values = []
+    for x in range(G.n):
+        if progress is not None:
+            progress(x)
+        values.append(curvature(G, x))
+    return CurvatureField(tuple(values), sum(values, Fraction(0)))
 
 
 @dataclass(frozen=True)

@@ -20,29 +20,15 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Sequence
 
+from .cliques import count_cliques_in_mask
 from .curvature import curvature
-from .graphs import Graph
+from .graphs import Graph, sphere_masks
 from .morse import IndexCalculator, all_orders
 from .trials import TrialPlan, mean_and_stderr, sum_vectors
 
 
 class DegreeCapError(ValueError):
     """Raised when an exact 2^deg computation would exceed its degree cap."""
-
-
-def _local_sphere_masks(G: Graph, x: int) -> tuple[int, ...]:
-    """Adjacency of S(x) as bitmasks over the neighbor positions of x."""
-    nbrs = G.adj[x]
-    pos = {u: i for i, u in enumerate(nbrs)}
-    masks = []
-    for u in nbrs:
-        m = 0
-        for w in G.adj[u]:
-            j = pos.get(w)
-            if j is not None:
-                m |= 1 << j
-        masks.append(m)
-    return tuple(masks)
 
 
 def chi_by_subset_size(G: Graph, x: int) -> tuple[int, ...]:
@@ -53,7 +39,7 @@ def chi_by_subset_size(G: Graph, x: int) -> tuple[int, ...]:
     since v contributes itself plus one (k+1)-clique per k-clique in its
     neighborhood within A.
     """
-    masks = _local_sphere_masks(G, x)
+    masks = sphere_masks(G, x)
     d = len(masks)
     chi = [0] * (1 << d)
     sums = [0] * (d + 1)
@@ -123,9 +109,7 @@ def clique_counts_by_subset_size(G: Graph, x: int) -> tuple[tuple[int, ...], ...
     lattice, using the split at the lowest subset vertex v:
     f_k(A) = f_k(A-v) + f_{k-1}(N(v) & (A-v)), with f_0(A) = |A|.
     """
-    from .cliques import count_cliques_in_mask
-
-    masks = _local_sphere_masks(G, x)
+    masks = sphere_masks(G, x)
     d = len(masks)
     size = 1 << d
     sphere_fvec = count_cliques_in_mask(masks, size - 1)
@@ -155,18 +139,15 @@ def verify_averaging_equation(G: Graph, x: int, degree_cap: int = 16) -> tuple[A
     in every sphere subset, then average over the uniform subset-size
     mixture that random orders induce. Only k with V_k(x) > 0 appear.
     """
-    from .cliques import count_cliques_in_mask
-
     d = G.degree(x)
     if d > degree_cap:
         raise DegreeCapError(
             f"vertex {x} has degree {d}, above the cap {degree_cap} for subset clique enumeration"
         )
-    masks = _local_sphere_masks(G, x)
-    sphere_fvec = count_cliques_in_mask(masks, (1 << d) - 1)
     sums_by_size = clique_counts_by_subset_size(G, x)
     checks = []
-    for k, vk in enumerate(sphere_fvec):
+    # The only d-subset of S(x) is S(x) itself, so row d is its f-vector.
+    for k, vk in enumerate(sums_by_size[d]):
         lhs = sum(
             (Fraction(sums_by_size[m][k], comb(d, m)) for m in range(d + 1)),
             Fraction(0),

@@ -128,6 +128,25 @@ def unit_sphere(G: Graph, x: int) -> tuple[Graph, VertexSet]:
     return induced_subgraph(G, members), members
 
 
+def sphere_masks(G: Graph, x: int) -> tuple[int, ...]:
+    """Adjacency of S(x) as bitmasks over the neighbor positions of x.
+
+    Position i is the i-th neighbor of x in ascending id order, which is
+    local id i of ``unit_sphere(G, x)``.
+    """
+    nbrs = G.adj[G._check_vertex(x)]
+    pos = {u: i for i, u in enumerate(nbrs)}
+    masks = []
+    for u in nbrs:
+        m = 0
+        for w in G.adj[u]:
+            j = pos.get(w)
+            if j is not None:
+                m |= 1 << j
+        masks.append(m)
+    return tuple(masks)
+
+
 # ---------------------------------------------------------------------------
 # Text formats.  Edge list: lines "u v", optional "n <count>" header, '#'
 # comments and blank lines allowed.  JSON: {"n": int, "edges": [[u, v], ...]}.

@@ -21,7 +21,7 @@ from .cliques import (
     count_cliques_in_mask,
     euler_characteristic,
 )
-from .graphs import Graph, induced_subgraph
+from .graphs import Graph, induced_subgraph, sphere_masks
 
 VertexOrder = tuple[int, ...]
 
@@ -162,20 +162,7 @@ class IndexCalculator:
 
     def __init__(self, G: Graph):
         self.G = G
-        local_masks: list[tuple[int, ...]] = []
-        for x in range(G.n):
-            nbrs = G.adj[x]
-            pos = {u: i for i, u in enumerate(nbrs)}
-            masks = []
-            for u in nbrs:
-                m = 0
-                for w in G.adj[u]:
-                    j = pos.get(w)
-                    if j is not None:
-                        m |= 1 << j
-                masks.append(m)
-            local_masks.append(tuple(masks))
-        self._local_masks = local_masks
+        self._local_masks = [sphere_masks(G, x) for x in range(G.n)]
         self._chi_cache: list[dict[int, int]] = [{} for _ in range(G.n)]
         self._sphere_cliques: list[tuple[tuple[int, ...], ...] | None] = [None] * G.n
 

@@ -1,20 +1,25 @@
-"""Deterministic, chunkable Monte Carlo trial plans.
+"""Deterministic, chunked Monte Carlo trial plans.
 
 Every trial t of a plan draws from an RNG seeded by (master_seed, t), so
-results are reproducible and independent of how trials are split across
-worker threads. Accumulation is left to integer-valued reducers supplied
-by the caller, which keeps the totals exactly order-independent.
+results are reproducible and independent of how trials are split into
+chunks. Accumulation is left to integer-valued reducers supplied by the
+caller, which keeps the totals exactly order-independent.
+
+Chunks run one after another in the calling thread: the interpreter lock
+serialises this Python work anyway, so ``workers`` starts no threads. It is
+accepted and validated, and results do not depend on it.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
 DEFAULT_SEED = 271828
+CHUNK_TRIALS = 20_000
 
 T = TypeVar("T")
 
@@ -38,32 +43,21 @@ class TrialPlan:
         return np.random.default_rng(np.random.SeedSequence((self.master_seed, t)))
 
     def chunks(self) -> Iterator[range]:
-        """Trial index ranges sized for the worker count."""
-        per = max(1, min(20_000, -(-self.samples // (4 * self.workers))))
-        for lo in range(0, self.samples, per):
-            yield range(lo, min(lo + per, self.samples))
+        """Consecutive trial index ranges of at most CHUNK_TRIALS trials."""
+        for lo in range(0, self.samples, CHUNK_TRIALS):
+            yield range(lo, min(lo + CHUNK_TRIALS, self.samples))
 
     def map_reduce(
         self,
         run_chunk: Callable[[range], T],
         combine: Callable[[T, T], T],
     ) -> T:
-        """Run every chunk and fold the partial results together.
+        """Run every chunk in turn and fold the partial results together.
 
         ``run_chunk`` must derive all randomness from ``trial_rng`` so the
-        combined result is identical for any worker count.
+        combined result does not depend on how the trials are chunked.
         """
-        parts: list[T]
-        chunk_list = list(self.chunks())
-        if self.workers == 1 or len(chunk_list) == 1:
-            parts = [run_chunk(c) for c in chunk_list]
-        else:
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                parts = list(pool.map(run_chunk, chunk_list))
-        result = parts[0]
-        for p in parts[1:]:
-            result = combine(result, p)
-        return result
+        return reduce(combine, map(run_chunk, self.chunks()))
 
 
 def mean_and_stderr(total: int, total_sq: int, samples: int) -> tuple[float, float | None]:

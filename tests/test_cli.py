@@ -139,6 +139,12 @@ class TestExpectation:
         code, _ = run_cli(capsys, "expectation", "cycle:n=10", "--samples", "5", "--permutation-oracle")
         assert code == 2
 
+    def test_negative_degree_cap_is_usage_error(self, capsys):
+        code = main(["expectation", "icosahedron", "--samples", "5", "--exact", "--degree-cap", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "error: --degree-cap must be at least 0, got -1" in captured.err
+
 
 class TestPercolation:
     def test_summary_json(self, capsys):
@@ -211,6 +217,12 @@ class TestVerify:
         assert skips and "degree 30" in skips[0]["detail"]
         assert payload["summary"]["ok"]
 
+    def test_negative_degree_cap_is_usage_error(self, capsys):
+        code = main(["verify", "icosahedron", "--suite", "expectation", "--degree-cap", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "error: --degree-cap must be at least 0, got -1" in captured.err
+
     def test_single_suite(self, capsys):
         code, out = run_cli(capsys, "verify", "icosahedron", "--suite", "gauss_bonnet", "--format", "csv")
         assert code == 0
@@ -231,12 +243,20 @@ class TestBench:
             assert millis == "timeout" or float(millis) >= 0
 
     def test_index_route_honours_budget(self, capsys):
-        # The deadline is checked once per vertex on the index route; a zero
-        # budget stops it before the first index.
+        # The deadline is checked once per vertex on the index and curvature
+        # routes; a zero budget stops each before its first vertex.
         code, out = run_cli(capsys, "bench", "--n", "30", "--q", "0.3", "--budget-ms", "0")
         assert code == 0
         millis = {line.split(",")[0]: line.split(",")[-1] for line in out.strip().splitlines()[1:]}
         assert millis["index"] == "timeout"
+        assert millis["curvature"] == "timeout"
+
+    @pytest.mark.parametrize("repetitions", ["0", "-3"])
+    def test_repetitions_below_one_is_usage_error(self, capsys, repetitions):
+        code = main(["bench", "--n", "5", "--repetitions", repetitions])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"error: --repetitions must be at least 1, got {repetitions}" in captured.err
 
     def test_empty_graph_rows(self, capsys):
         code, out = run_cli(capsys, "bench", "--n", "0", "--q", "0.5")

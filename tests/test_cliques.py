@@ -125,6 +125,10 @@ class TestMaskEnumeration:
             for m in masks:
                 vs = [v for v in range(4) if m >> v & 1]
                 assert len(vs) == k + 1
+        # a cap lists the same cliques up to that size, in the same order
+        for cap in (1, 2, 3):
+            assert cliques_by_size_in_mask(G.adjacency_masks, 0b1111, cap) == groups[:cap]
+        assert cliques_by_size_in_mask(G.adjacency_masks, 0b1111, 0) == ()
 
     def test_cliques_of_size(self):
         G = octahedron()
@@ -132,6 +136,16 @@ class TestMaskEnumeration:
         assert len(triangles) == 8
         assert cliques_of_size(G, 4) == ()
         assert len(cliques_of_size(G, 1)) == 6
+        G = erdos_renyi(12, 0.5, seed=3)
+        for size in range(1, 7):
+            oracle = [
+                sum(1 << v for v in sub)
+                for sub in combinations(range(G.n), size)
+                if all(G.has_edge(u, v) for u, v in combinations(sub, 2))
+            ]
+            assert sorted(cliques_of_size(G, size)) == sorted(oracle)
+        with pytest.raises(ValueError):
+            cliques_of_size(G, 0)
 
 
 class TestEuler:

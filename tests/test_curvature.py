@@ -85,6 +85,22 @@ class TestGaussBonnet:
         assert field.values == tuple(curvature(G, x) for x in range(G.n))
         assert field.total == sum(field.values, Fraction(0))
 
+    def test_field_progress_once_per_vertex(self):
+        G = icosahedron()
+        seen = []
+        assert curvature_field(G, progress=seen.append).total == 2
+        assert seen == list(range(G.n))
+
+        class Stop(Exception):
+            pass
+
+        def stop(x):
+            if x == 3:
+                raise Stop
+
+        with pytest.raises(Stop):
+            curvature_field(G, progress=stop)
+
     def test_json_shape(self):
         field = curvature_field(cycle_graph(3))
         payload = field.to_json_dict()

@@ -22,6 +22,7 @@ from graphcurvature.graphs import (
     octahedron,
     path_graph,
     random_tree,
+    sphere_masks,
     star_graph,
     to_edge_list,
     to_json,
@@ -167,6 +168,15 @@ class TestUnitSphere:
     def test_invalid_vertex(self):
         with pytest.raises(ValueError):
             unit_sphere(cycle_graph(3), 3)
+        for x in (3, -1):
+            with pytest.raises(ValueError):
+                sphere_masks(cycle_graph(3), x)
+
+    def test_sphere_masks_match_unit_sphere(self):
+        for G in (icosahedron(), star_graph(5), complete_graph(5), random_graph(14, 0.4, 2)):
+            for x in range(G.n):
+                S, _ = unit_sphere(G, x)
+                assert sphere_masks(G, x) == S.adjacency_masks
 
 
 class TestGenerators:
