@@ -11,7 +11,7 @@ import graphcurvature as gc
 def show(name, G):
     field = gc.curvature_field(G)
     chi = gc.graph_euler_characteristic(G)
-    values = ", ".join(str(field[x]) for x in range(min(G.n, 8)))
+    values = ", ".join(str(field.values[x]) for x in range(min(G.n, 8)))
     tail = ", ..." if G.n > 8 else ""
     print(f"{name:14s} n={G.n:3d}  chi={chi:3d}  sum K={field.total!s:>4}  K = [{values}{tail}]")
     assert field.total == chi

@@ -18,46 +18,42 @@ FVector = tuple[int, ...]
 # Clique visits before a slow-enumeration warning is emitted.
 DEFAULT_WORK_BUDGET = 50_000_000
 
-# Budget/progress checks happen every _METER_STRIDE clique visits.
+# ``count_cliques`` calls its progress hook about every PROGRESS_INTERVAL
+# clique visits; the budget and the hook are checked every _METER_STRIDE.
+PROGRESS_INTERVAL = 100_000
 _METER_STRIDE = 4096
 
 
 class _WorkMeter:
-    __slots__ = ("visits", "budget", "warned", "progress", "next_progress", "interval")
+    __slots__ = ("warned", "progress", "next_progress")
 
-    def __init__(self, budget, progress, interval):
-        self.visits = 0
-        self.budget = budget
+    def __init__(self, progress):
         self.warned = False
         self.progress = progress
-        self.interval = interval
-        self.next_progress = interval
+        self.next_progress = PROGRESS_INTERVAL
 
     def event(self, visits: int):
-        self.visits = visits
-        if self.budget is not None and not self.warned and visits > self.budget:
+        if not self.warned and visits > DEFAULT_WORK_BUDGET:
             self.warned = True
             warnings.warn(
                 f"clique enumeration passed {visits} visits "
-                f"(budget {self.budget}); this graph may be too dense",
+                f"(budget {DEFAULT_WORK_BUDGET}); this graph may be too dense",
                 RuntimeWarning,
                 stacklevel=4,
             )
         if self.progress is not None and visits >= self.next_progress:
-            self.next_progress += self.interval
+            self.next_progress += PROGRESS_INTERVAL
             self.progress(visits)
 
 
 def count_cliques_in_mask(masks: Sequence[int], candidates: int,
-                          max_size: int | None = None,
                           meter: _WorkMeter | None = None) -> FVector:
     """f-vector of the subgraph induced on the ``candidates`` bitmask.
 
     ``masks[v]`` is the neighbor bitmask of vertex v; candidate bits must
-    index into ``masks``.  ``max_size`` caps the clique size visited.
+    index into ``masks``.
     """
     counts: list[int] = []
-    limit = max_size if max_size is not None else len(masks)
     visits = 0
 
     def grow(cand: int, size: int):
@@ -73,36 +69,27 @@ def count_cliques_in_mask(masks: Sequence[int], candidates: int,
                 visits += 1
                 if not (visits & (_METER_STRIDE - 1)):
                     meter.event(visits)
-            if size < limit:
-                sub = m & masks[b.bit_length() - 1]
-                if sub:
-                    grow(sub, size + 1)
+            sub = m & masks[b.bit_length() - 1]
+            if sub:
+                grow(sub, size + 1)
 
-    if candidates and limit >= 1:
+    if candidates:
         grow(candidates, 1)
     if meter is not None and visits:
         meter.event(visits)  # final check so short runs still hit the budget
     return tuple(counts)
 
 
-def count_cliques(G: Graph, max_k: int | None = None,
-                  work_budget: int | None = DEFAULT_WORK_BUDGET,
-                  progress: Callable[[int], None] | None = None,
-                  progress_interval: int = 1_000_000) -> FVector:
+def count_cliques(G: Graph, progress: Callable[[int], None] | None = None) -> FVector:
     """Exact counts of all complete subgraphs of G, as the f-vector.
 
-    ``max_k`` caps the counted dimension (v_0..v_max_k); correctness paths
-    use the uncapped default.  Above ``work_budget`` clique visits a
-    RuntimeWarning is emitted once; ``progress`` is called with the visit
-    count every ``progress_interval`` visits and may raise to abort.
+    Above ``DEFAULT_WORK_BUDGET`` clique visits a RuntimeWarning is emitted
+    once; ``progress`` is called with the visit count about every
+    ``PROGRESS_INTERVAL`` visits and may raise to abort.
     """
     if G.n == 0:
         return ()
-    meter = None
-    if work_budget is not None or progress is not None:
-        meter = _WorkMeter(work_budget, progress, progress_interval)
-    max_size = None if max_k is None else max_k + 1
-    return count_cliques_in_mask(G.adjacency_masks, (1 << G.n) - 1, max_size, meter)
+    return count_cliques_in_mask(G.adjacency_masks, (1 << G.n) - 1, _WorkMeter(progress))
 
 
 def cliques_of_size(G: Graph, size: int) -> tuple[int, ...]:
@@ -151,9 +138,9 @@ def graph_euler_characteristic(G: Graph,
     """Euler characteristic from the f-vector of G.
 
     ``progress`` is passed to ``count_cliques``, which calls it about every
-    100_000 clique visits; it may raise to abort.
+    ``PROGRESS_INTERVAL`` clique visits; it may raise to abort.
     """
-    return euler_characteristic(count_cliques(G, progress=progress, progress_interval=100_000))
+    return euler_characteristic(count_cliques(G, progress=progress))
 
 
 def vertex_clique_degrees(G: Graph, x: int) -> FVector:

@@ -77,12 +77,6 @@ def exit_set(G: Graph, order: Sequence[int], x: int) -> tuple[int, ...]:
     return tuple(y for y in G.adj[x] if order[y] < rx)
 
 
-def entrance_set(G: Graph, order: Sequence[int], x: int) -> tuple[int, ...]:
-    """Neighbors of x with larger function value (S_f^+(x))."""
-    rx = order[x]
-    return tuple(y for y in G.adj[x] if order[y] > rx)
-
-
 def index(G: Graph, order: Sequence[int], x: int) -> int:
     """Poincare-Hopf index i_f(x) = 1 - chi(S_f^-(x))."""
     sub = induced_subgraph(G, exit_set(G, order, x))

@@ -22,64 +22,16 @@ from typing import Sequence
 import numpy as np
 
 from .cliques import cliques_of_size, count_cliques
-from .graphs import Graph, induced_subgraph
+from .graphs import Graph
 from .trials import DEFAULT_SEED, TrialPlan, mean_and_stderr, sum_vectors
 
 MODES = ("site", "bond")
 
 
-def _check_mode(mode: str):
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-
-
-def _check_p(p: float):
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"keep probability must lie in [0, 1], got {p}")
-
-
-def site_decimate(
-    G: Graph, p: float, seed: int | np.random.Generator = 0
-) -> tuple[Graph, tuple[int, ...]]:
-    """Keep each vertex with probability p; return the induced graph and kept ids."""
-    _check_p(p)
-    rng = np.random.default_rng(seed)
-    kept = tuple(int(v) for v in np.flatnonzero(rng.random(G.n) < p))
-    return induced_subgraph(G, kept), kept
-
-
-def bond_decimate(G: Graph, p: float, seed: int | np.random.Generator = 0) -> Graph:
-    """Keep each edge with probability p; all vertices stay."""
-    _check_p(p)
-    rng = np.random.default_rng(seed)
-    r = rng.random(len(G.edges))
-    edges = [e for e, keep in zip(G.edges, r < p) if keep]
-    return Graph.from_edges(G.n, edges)
-
-
-@dataclass(frozen=True)
-class PercolationTrial:
-    """One decimation outcome: the surviving graph at a given p."""
-
-    mode: str
-    p: float
-    surviving: Graph
-    kept_vertices: tuple[int, ...] | None = None
-
-
-def run_percolation_trial(
-    G: Graph, mode: str, p: float, seed: int | np.random.Generator = 0
-) -> PercolationTrial:
-    _check_mode(mode)
-    if mode == "site":
-        sub, kept = site_decimate(G, p, seed)
-        return PercolationTrial(mode=mode, p=p, surviving=sub, kept_vertices=kept)
-    return PercolationTrial(mode=mode, p=p, surviving=bond_decimate(G, p, seed))
-
-
 def survival_exponent(k: int, mode: str) -> int:
     """Number of independent keep events a (k+1)-clique needs."""
-    _check_mode(mode)
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     return k + 1 if mode == "site" else comb(k + 1, 2)
@@ -104,10 +56,10 @@ class SurvivalPolynomial:
 
 def exact_survival_polynomial(G: Graph, k: int, mode: str = "site") -> SurvivalPolynomial:
     """Expected survivor count as an exact polynomial in p, by linearity."""
-    _check_mode(mode)
+    exponent = survival_exponent(k, mode)
     fvec = count_cliques(G)
     vk = fvec[k] if k < len(fvec) else 0
-    return SurvivalPolynomial(k=k, mode=mode, coefficient=vk, exponent=survival_exponent(k, mode))
+    return SurvivalPolynomial(k=k, mode=mode, coefficient=vk, exponent=exponent)
 
 
 def _clique_event_masks(G: Graph, k: int, mode: str) -> tuple[list[int], int]:
@@ -189,11 +141,13 @@ def clique_survival_integral(
     when p is random and p^exponent at a fixed p.
 
     ``row_limit`` includes per-trial rows for the first trials in the
-    report, for inspection or CSV output.
+    report, for inspection or CSV output; it must not be negative.
     """
-    _check_mode(mode)
-    if fixed_p is not None:
-        _check_p(fixed_p)
+    exponent = survival_exponent(k, mode)
+    if fixed_p is not None and not 0.0 <= fixed_p <= 1.0:
+        raise ValueError(f"keep probability must lie in [0, 1], got {fixed_p}")
+    if row_limit < 0:
+        raise ValueError(f"row limit must be nonnegative, got {row_limit}")
     masks, n_events = _clique_event_masks(G, k, mode)
     vk = len(masks)
     if vk == 0:
@@ -222,7 +176,6 @@ def clique_survival_integral(
 
     s_sum, s_sq = plan.map_reduce(run_chunk, sum_vectors)
     mean_count, se_count = mean_and_stderr(s_sum, s_sq, trials)
-    exponent = survival_exponent(k, mode)
     exact: Fraction | float
     exact = Fraction(1, exponent + 1) if fixed_p is None else fixed_p**exponent
     summary = SurvivalEstimate(

@@ -202,6 +202,16 @@ class TestPercolation:
     def test_no_hosts(self, capsys):
         assert run_cli(capsys, "percolation", "cycle:n=5", "--k", "2", "--trials", "10")[0] == 2
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--k", "1", "--rows", "-5"], "error: row limit must be nonnegative, got -5"),
+        (["--k", "-1"], "error: k must be nonnegative, got -1"),
+    ])
+    def test_bad_rows_or_k_is_usage_error(self, capsys, extra, message):
+        code = main(["percolation", "icosahedron", "--trials", "10", *extra])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert message in captured.err
+
 
 class TestVerify:
     def test_octahedron_all_pass(self, capsys):

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphcurvature import cliques
 from graphcurvature.cliques import (
-    DEFAULT_WORK_BUDGET,
+    PROGRESS_INTERVAL,
     cliques_by_size_in_mask,
     cliques_of_size,
     count_cliques,
@@ -81,20 +82,19 @@ class TestCountCliques:
             fvec = count_cliques(erdos_renyi(12, 0.6, seed=seed))
             assert all(c > 0 for c in fvec)
 
-    def test_max_k_cap(self):
-        G = complete_graph(7)
-        assert count_cliques(G, max_k=2) == (7, 21, 35)
-        assert count_cliques(G, max_k=0) == (7,)
-
-    def test_work_budget_warning(self):
+    def test_work_budget_warning(self, monkeypatch):
         G = complete_graph(12)
-        with pytest.warns(RuntimeWarning, match="budget"):
-            count_cliques(G, work_budget=100)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            count_cliques(G, work_budget=DEFAULT_WORK_BUDGET)
+            count_cliques(G)
+        monkeypatch.setattr(cliques, "DEFAULT_WORK_BUDGET", 100)
+        with pytest.warns(RuntimeWarning, match="budget 100"):
+            count_cliques(G)
 
     def test_progress_callback_can_abort(self):
+        # K_17 has 2^17 - 1 = 131071 cliques, past one PROGRESS_INTERVAL.
+        assert PROGRESS_INTERVAL < 2**17 - 1
+
         class Stop(Exception):
             pass
 
@@ -102,7 +102,7 @@ class TestCountCliques:
             raise Stop
 
         with pytest.raises(Stop):
-            count_cliques(complete_graph(14), progress=cb, progress_interval=10)
+            count_cliques(complete_graph(17), progress=cb)
 
 
 class TestMaskEnumeration:

@@ -19,7 +19,6 @@ from graphcurvature.graphs import (
 from graphcurvature.morse import (
     IndexCalculator,
     all_orders,
-    entrance_set,
     exit_set,
     index,
     index_report,
@@ -67,7 +66,7 @@ class TestExitSets:
         f = (0, 1, 2, 3, 4)
         assert exit_set(G, f, 0) == ()
         assert exit_set(G, f, 4) == G.adj[4]
-        assert entrance_set(G, f, 0) == G.adj[0]
+        assert exit_set(G, reverse_order(f), 0) == G.adj[0]
 
     def test_c4_worked_example(self):
         G = cycle_graph(4)
@@ -76,10 +75,13 @@ class TestExitSets:
         assert tuple(index(G, f, x) for x in range(4)) == (1, 0, 0, -1)
 
     def test_exit_entrance_partition_sphere(self):
+        # the exit sets of f and -f split the sphere into disjoint halves
         G = erdos_renyi(10, 0.5, seed=4)
         f = random_order(10, 7)
+        rev = reverse_order(f)
         for x in range(G.n):
-            lo, hi = exit_set(G, f, x), entrance_set(G, f, x)
+            lo, hi = exit_set(G, f, x), exit_set(G, rev, x)
+            assert not set(lo) & set(hi)
             assert tuple(sorted(lo + hi)) == G.adj[x]
 
     def test_reversed_order_swaps_exit_and_entrance(self):
@@ -87,7 +89,8 @@ class TestExitSets:
         f = random_order(9, 3)
         rev = reverse_order(f)
         for x in range(G.n):
-            assert exit_set(G, rev, x) == entrance_set(G, f, x)
+            below = set(exit_set(G, f, x))
+            assert exit_set(G, rev, x) == tuple(y for y in G.adj[x] if y not in below)
 
 
 class TestIndex:

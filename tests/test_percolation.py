@@ -17,11 +17,9 @@ from graphcurvature.graphs import (
     octahedron,
 )
 from graphcurvature.percolation import (
-    bond_decimate,
+    MODES,
     clique_survival_integral,
     exact_survival_polynomial,
-    run_percolation_trial,
-    site_decimate,
     survival_exponent,
     survival_grid,
 )
@@ -60,39 +58,34 @@ def bond_integral_brute_force(G: Graph, k: int) -> Fraction:
 
 
 class TestDecimation:
+    """Edge cases of the decimation inside clique_survival_integral."""
+
     def test_p_one_keeps_everything(self):
         G = erdos_renyi(12, 0.4, seed=3)
-        sub, kept = site_decimate(G, 1.0, seed=0)
-        assert sub == G and kept == tuple(range(12))
-        assert bond_decimate(G, 1.0, seed=0) == G
+        for mode in MODES:
+            s = clique_survival_integral(G, 1, 50, seed=0, mode=mode, fixed_p=1.0).summary
+            assert (s.estimate, s.stderr, s.exact) == (1.0, 0.0, 1.0)
 
     def test_p_zero_removes_everything(self):
         G = complete_graph(5)
-        sub, kept = site_decimate(G, 0.0, seed=0)
-        assert sub.n == 0 and kept == ()
-        H = bond_decimate(G, 0.0, seed=0)
-        assert H.n == 5 and H.edges == ()
+        for mode in MODES:
+            s = clique_survival_integral(G, 2, 50, seed=0, mode=mode, fixed_p=0.0).summary
+            assert (s.estimate, s.stderr, s.exact) == (0.0, 0.0, 0.0)
 
     def test_seeded_determinism(self):
         G = complete_graph(5)
-        a1, k1 = site_decimate(G, 0.5, seed=42)
-        a2, k2 = site_decimate(G, 0.5, seed=42)
-        assert a1 == a2 and k1 == k2
-        assert bond_decimate(G, 0.5, seed=42) == bond_decimate(G, 0.5, seed=42)
+        for mode in MODES:
+            a, b = (clique_survival_integral(G, 1, 200, seed=42, mode=mode, row_limit=20)
+                    for _ in range(2))
+            assert a == b
+        c = clique_survival_integral(G, 1, 200, seed=43, mode="site", row_limit=20)
+        assert c.rows != a.rows
 
     def test_p_out_of_range(self):
-        with pytest.raises(ValueError):
-            site_decimate(cycle_graph(3), 1.5, seed=0)
-        with pytest.raises(ValueError):
-            bond_decimate(cycle_graph(3), -0.1, seed=0)
-
-    def test_trial_wrapper(self):
-        G = octahedron()
-        t = run_percolation_trial(G, "site", 0.6, seed=1)
-        assert t.mode == "site" and t.kept_vertices is not None
-        assert t.surviving.n == len(t.kept_vertices)
-        t = run_percolation_trial(G, "bond", 0.6, seed=1)
-        assert t.surviving.n == G.n and t.kept_vertices is None
+        with pytest.raises(ValueError, match="keep probability"):
+            clique_survival_integral(cycle_graph(3), 1, 10, fixed_p=1.5)
+        with pytest.raises(ValueError, match="keep probability"):
+            clique_survival_integral(cycle_graph(3), 1, 10, mode="bond", fixed_p=-0.1)
 
 
 class TestExactPolynomial:
