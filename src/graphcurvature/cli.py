@@ -22,7 +22,11 @@ from fractions import Fraction
 from .cliques import graph_euler_characteristic
 from .corpus import base_corpus, er_corpus
 from .curvature import curvature_field
-from .expectation import exact_expectation_by_permutations, mc_index_expectation
+from .expectation import (
+    MAX_SUBSET_DEGREE,
+    exact_expectation_by_permutations,
+    mc_index_expectation,
+)
 from .graphs import GENERATOR_KINDS, Graph, generate, load, to_edge_list, to_json
 from .morse import index_report, order_from_values, poincare_hopf_chi, random_order
 from .percolation import MODES, clique_survival_integral, survival_grid
@@ -140,6 +144,8 @@ CHI_ROUTES = {
 def check_degree_cap(cap: int):
     if cap < 0:
         raise ValueError(f"--degree-cap must be at least 0, got {cap}")
+    if cap > MAX_SUBSET_DEGREE:
+        raise ValueError(f"--degree-cap must be at most {MAX_SUBSET_DEGREE}, got {cap}")
 
 
 # ---------------------------------------------------------------- commands

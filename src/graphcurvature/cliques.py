@@ -32,14 +32,17 @@ class _WorkMeter:
         self.progress = progress
         self.next_progress = PROGRESS_INTERVAL
 
-    def event(self, visits: int):
+    def event(self, visits: int, depth: int):
+        """``depth`` is the number of ``grow`` frames between this call and
+        ``count_cliques_in_mask``, so the warning names the line that called
+        ``count_cliques``."""
         if not self.warned and visits > DEFAULT_WORK_BUDGET:
             self.warned = True
             warnings.warn(
                 f"clique enumeration passed {visits} visits "
                 f"(budget {DEFAULT_WORK_BUDGET}); this graph may be too dense",
                 RuntimeWarning,
-                stacklevel=4,
+                stacklevel=4 + depth,
             )
         if self.progress is not None and visits >= self.next_progress:
             self.next_progress += PROGRESS_INTERVAL
@@ -68,7 +71,7 @@ def count_cliques_in_mask(masks: Sequence[int], candidates: int,
             if meter is not None:
                 visits += 1
                 if not (visits & (_METER_STRIDE - 1)):
-                    meter.event(visits)
+                    meter.event(visits, size)
             sub = m & masks[b.bit_length() - 1]
             if sub:
                 grow(sub, size + 1)
@@ -76,7 +79,7 @@ def count_cliques_in_mask(masks: Sequence[int], candidates: int,
     if candidates:
         grow(candidates, 1)
     if meter is not None and visits:
-        meter.event(visits)  # final check so short runs still hit the budget
+        meter.event(visits, 0)  # final check so short runs still hit the budget
     return tuple(counts)
 
 

@@ -20,6 +20,8 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Sequence
 
+import numpy as np
+
 from .cliques import count_cliques_in_mask
 from .curvature import curvature
 from .graphs import Graph, sphere_masks
@@ -31,26 +33,82 @@ class DegreeCapError(ValueError):
     """Raised when an exact 2^deg computation would exceed its degree cap."""
 
 
+# Subset tables are int32, which is exact while d <= 30: then |chi(A)| < 2^d
+# and f_k(A) <= C(d, k+1) < 2^31. Their int64 sums by size stay below 2^61.
+MAX_SUBSET_DEGREE = 30
+
+# Subsets per numpy call. Gathers and np.add.at widen their operands to
+# int64 first, and chunks keep those copies small beside the int32 tables.
+# Gathers use mode="clip" (every index is in range) so np.take writes its
+# output in place instead of through a buffer.
+_CHUNK = 1 << 16
+
+
+def _blocks(size: int):
+    """(start, stop, lo) for each chunk of each block [lo, 2lo), in order.
+
+    The subsets in block [lo, 2lo) have highest vertex log2(lo), and
+    removing it maps start:stop onto start - lo:stop - lo, in an earlier
+    block.
+    """
+    lo = 1
+    while lo < size:
+        for start in range(lo, 2 * lo, _CHUNK):
+            yield start, min(start + _CHUNK, 2 * lo), lo
+        lo <<= 1
+
+
+def _subset_tables(G: Graph, x: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """Sphere masks of x, subset sizes, and the split index of every subset.
+
+    For a subset A of S(x) with highest vertex v, ``split[A]`` is
+    N(v) & (A - v); ``split[0]`` is 0.
+    """
+    d = G.degree(x)
+    if d > MAX_SUBSET_DEGREE:
+        raise DegreeCapError(
+            f"vertex {x} has degree {d}, above the {MAX_SUBSET_DEGREE} limit "
+            "for exact int32 subset tables"
+        )
+    masks = sphere_masks(G, x)
+    pop = np.zeros(1 << d, dtype=np.uint8)
+    split = np.arange(1 << d, dtype=np.int32)
+    for start, stop, lo in _blocks(1 << d):
+        np.add(pop[start - lo:stop - lo], 1, out=pop[start:stop])
+        # A has highest bit v and N(v) lacks v, so A & N(v) = N(v) & (A - v).
+        np.bitwise_and(split[start:stop], masks[lo.bit_length() - 1], out=split[start:stop])
+    return masks, pop, split
+
+
+def _sums_by_size(pop: np.ndarray, table: np.ndarray) -> tuple[int, ...]:
+    """Exact sums of ``table`` over the subsets of each size, as Python ints."""
+    out = np.zeros(int(pop[-1]) + 1, dtype=np.int64)  # pop[-1] = d
+    for start in range(0, len(pop), _CHUNK):
+        chunk = slice(start, start + _CHUNK)
+        np.add.at(out, pop[chunk], table[chunk].astype(np.int64))
+    return tuple(int(v) for v in out)
+
+
 def chi_by_subset_size(G: Graph, x: int) -> tuple[int, ...]:
     """Entry m: sum of chi over all m-vertex subsets of the sphere of x.
 
-    Built by one dynamic program over subset bitmasks. Removing the lowest
+    Built by one dynamic program over subset bitmasks. Removing the highest
     vertex v of a subset A gives chi(A) = chi(A-v) + 1 - chi(N(v) & (A-v)),
     since v contributes itself plus one (k+1)-clique per k-clique in its
-    neighborhood within A.
+    neighborhood within A. The subsets with highest vertex j depend only on
+    those below 2^j, so the 2^d table is built in d vectorised steps. The
+    int32 table is exact up to degree ``MAX_SUBSET_DEGREE``; above it
+    DegreeCapError is raised before anything is allocated.
     """
-    masks = sphere_masks(G, x)
-    d = len(masks)
-    chi = [0] * (1 << d)
-    sums = [0] * (d + 1)
-    for mask in range(1, 1 << d):
-        low = mask & -mask
-        rest = mask ^ low
-        inter = rest & masks[low.bit_length() - 1]
-        c = chi[rest] + 1 - chi[inter]
-        chi[mask] = c
-        sums[mask.bit_count()] += c
-    return tuple(sums)
+    _, pop, split = _subset_tables(G, x)
+    chi = np.zeros(len(pop), dtype=np.int32)
+    below = np.empty(min(len(pop), _CHUNK), dtype=np.int32)
+    for start, stop, lo in _blocks(len(pop)):
+        block, gathered = chi[start:stop], below[:stop - start]
+        np.take(chi, split[start:stop], out=gathered, mode="clip")
+        np.subtract(chi[start - lo:stop - lo], gathered, out=block)
+        np.add(block, 1, out=block)
+    return _sums_by_size(pop, chi)
 
 
 def exact_index_expectation(G: Graph, x: int, degree_cap: int = 20) -> Fraction:
@@ -106,30 +164,29 @@ def clique_counts_by_subset_size(G: Graph, x: int) -> tuple[tuple[int, ...], ...
     """Entry [m][k]: total (k+1)-cliques summed over all m-subsets of S(x).
 
     One dynamic-programming pass per clique size over the 2^deg subset
-    lattice, using the split at the lowest subset vertex v:
-    f_k(A) = f_k(A-v) + f_{k-1}(N(v) & (A-v)), with f_0(A) = |A|.
+    lattice, using the split at the highest subset vertex v:
+    f_k(A) = f_k(A-v) + f_{k-1}(N(v) & (A-v)), with f_0(A) = |A|. As in
+    ``chi_by_subset_size``, each pass takes d vectorised steps, one per
+    highest vertex, and the int32 tables are exact up to degree
+    ``MAX_SUBSET_DEGREE``; above it DegreeCapError is raised before
+    anything is allocated.
     """
-    masks = sphere_masks(G, x)
+    masks, pop, split = _subset_tables(G, x)
     d = len(masks)
-    size = 1 << d
-    sphere_fvec = count_cliques_in_mask(masks, size - 1)
-    kmax = len(sphere_fvec)
-    sums = [[0] * kmax for _ in range(d + 1)]
+    kmax = len(count_cliques_in_mask(masks, len(pop) - 1))
     if kmax == 0:
-        return tuple(tuple(row) for row in sums)
-    prev = [m.bit_count() for m in range(size)]
-    for m in range(size):
-        sums[prev[m]][0] += prev[m]
-    for k in range(1, kmax):
-        cur = [0] * size
-        for mask in range(1, size):
-            low = mask & -mask
-            rest = mask ^ low
-            c = cur[rest] + prev[rest & masks[low.bit_length() - 1]]
-            cur[mask] = c
-            sums[mask.bit_count()][k] += c
-        prev = cur
-    return tuple(tuple(row) for row in sums)
+        return ((),) * (d + 1)
+    prev = pop.astype(np.int32)
+    cur = np.zeros_like(prev)
+    columns = [_sums_by_size(pop, prev)]
+    for _ in range(1, kmax):
+        for start, stop, lo in _blocks(len(pop)):
+            block = cur[start:stop]
+            np.take(prev, split[start:stop], out=block, mode="clip")
+            np.add(block, cur[start - lo:stop - lo], out=block)
+        columns.append(_sums_by_size(pop, cur))
+        prev, cur = cur, prev
+    return tuple(zip(*columns))
 
 
 def verify_averaging_equation(G: Graph, x: int, degree_cap: int = 16) -> tuple[AveragingCheck, ...]:

@@ -145,6 +145,12 @@ class TestExpectation:
         assert code == 2 and captured.out == ""
         assert "error: --degree-cap must be at least 0, got -1" in captured.err
 
+    def test_degree_cap_above_limit_is_usage_error(self, capsys):
+        code = main(["expectation", "icosahedron", "--samples", "5", "--exact", "--degree-cap", "31"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "error: --degree-cap must be at most 30, got 31" in captured.err
+
 
 class TestPercolation:
     def test_summary_json(self, capsys):
@@ -232,6 +238,12 @@ class TestVerify:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "error: --degree-cap must be at least 0, got -1" in captured.err
+
+    def test_degree_cap_above_limit_is_usage_error(self, capsys):
+        code = main(["verify", "icosahedron", "--suite", "expectation", "--degree-cap", "40"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "error: --degree-cap must be at most 30, got 40" in captured.err
 
     def test_single_suite(self, capsys):
         code, out = run_cli(capsys, "verify", "icosahedron", "--suite", "gauss_bonnet", "--format", "csv")

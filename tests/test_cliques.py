@@ -88,8 +88,12 @@ class TestCountCliques:
             warnings.simplefilter("error")
             count_cliques(G)
         monkeypatch.setattr(cliques, "DEFAULT_WORK_BUDGET", 100)
-        with pytest.warns(RuntimeWarning, match="budget 100"):
-            count_cliques(G)
+        # K_12's 4095 visits warn from the final check; K_13's warn from
+        # inside the recursion, at visit 4096. Both name this caller.
+        for H in (G, complete_graph(13)):
+            with pytest.warns(RuntimeWarning, match="budget 100") as records:
+                count_cliques(H)
+            assert [r.filename for r in records] == [__file__]
 
     def test_progress_callback_can_abort(self):
         # K_17 has 2^17 - 1 = 131071 cliques, past one PROGRESS_INTERVAL.

@@ -1,26 +1,38 @@
 """The index-expectation theorem and its oracles."""
 
+import time
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from graphcurvature.cliques import (
+    count_cliques_in_mask,
+    euler_characteristic,
+    vertex_clique_degrees,
+)
 from graphcurvature.corpus import base_corpus
 from graphcurvature.curvature import curvature
 from graphcurvature.expectation import (
+    MAX_SUBSET_DEGREE,
     DegreeCapError,
     chi_by_subset_size,
+    clique_counts_by_subset_size,
     exact_expectation_by_permutations,
     exact_index_expectation,
     mc_index_expectation,
     verify_averaging_equation,
 )
 from graphcurvature.graphs import (
+    Graph,
     complete_graph,
     cycle_graph,
     erdos_renyi,
     icosahedron,
     path_graph,
+    sphere_masks,
     star_graph,
 )
 from graphcurvature.morse import IndexCalculator, all_orders
@@ -101,6 +113,95 @@ class TestChiSubsetSums:
         for x in range(G.n):
             sums = chi_by_subset_size(G, x)
             assert len(sums) == G.degree(x) + 1
+
+
+def brute_force_subset_tables(G, x):
+    """Both subset tables by recounting the cliques of every sphere subset."""
+    masks = sphere_masks(G, x)
+    d = len(masks)
+    chi = [0] * (d + 1)
+    cliques = [[] for _ in range(d + 1)]
+    for subset in range(1 << d):
+        fvec = count_cliques_in_mask(masks, subset)
+        m = subset.bit_count()
+        chi[m] += euler_characteristic(fvec)
+        row = cliques[m]
+        row.extend([0] * (len(fvec) - len(row)))
+        for k, c in enumerate(fvec):
+            row[k] += c
+    # Every row of the table has as many entries as the whole sphere's f-vector.
+    width = len(cliques[d])
+    return tuple(chi), tuple(tuple(row + [0] * (width - len(row))) for row in cliques)
+
+
+def assert_tables_match_brute_force(G, x):
+    chi = chi_by_subset_size(G, x)
+    cliques = clique_counts_by_subset_size(G, x)
+    assert (chi, cliques) == brute_force_subset_tables(G, x), x
+    assert all(type(v) is int for v in chi)
+    assert all(type(v) is int for row in cliques for v in row)
+
+
+class TestSubsetTablesBruteForce:
+    @pytest.mark.parametrize("n, q, seeds", [(12, 0.5, (0, 1, 2)), (13, 0.7, (3, 4))])
+    def test_erdos_renyi(self, n, q, seeds):
+        for seed in seeds:
+            G = erdos_renyi(n, q, seed=seed)
+            for x in range(G.n):
+                assert_tables_match_brute_force(G, x)
+
+    def test_isolated_vertex(self):
+        G = Graph.from_edges(2, [])
+        assert chi_by_subset_size(G, 0) == (0,)
+        assert clique_counts_by_subset_size(G, 0) == ((),)
+        assert_tables_match_brute_force(G, 0)
+
+    def test_complete_graph_vertex(self):
+        assert_tables_match_brute_force(complete_graph(12), 0)
+
+    def test_edgeless_sphere(self):
+        assert_tables_match_brute_force(star_graph(10), 0)
+
+    def test_complete_sphere_past_one_chunk(self):
+        # Degree 18: the top block of 2^17 subsets spans two numpy chunks.
+        # Every m-subset of a complete sphere is a clique with chi 1 and
+        # C(m, k+1) cliques on k+1 vertices.
+        d = 18
+        chi = chi_by_subset_size(complete_graph(d + 1), 0)
+        cliques = clique_counts_by_subset_size(complete_graph(d + 1), 0)
+        assert chi == tuple(comb(d, m) if m else 0 for m in range(d + 1))
+        assert cliques == tuple(tuple(comb(d, m) * comb(m, k + 1) for k in range(d))
+                                for m in range(d + 1))
+
+    def test_dense_sphere_past_one_chunk(self):
+        # Degrees 18-20, checked against the curvature and the sphere's own
+        # f-vector, which are counted without the subset tables.
+        G = erdos_renyi(26, 0.72, seed=0)
+        for x in range(G.n):
+            if G.degree(x) >= 18:
+                assert exact_index_expectation(G, x) == curvature(G, x), x
+                assert clique_counts_by_subset_size(G, x)[-1] == vertex_clique_degrees(G, x)
+                assert all(c.equal for c in verify_averaging_equation(G, x, degree_cap=20)), x
+
+    def test_degree_limit_fails_fast(self):
+        G = star_graph(32)  # centre degree 31
+        for table in (chi_by_subset_size, clique_counts_by_subset_size):
+            t0 = time.perf_counter()
+            with pytest.raises(DegreeCapError, match=f"above the {MAX_SUBSET_DEGREE} limit"):
+                table(G, 0)
+            assert time.perf_counter() - t0 < 1.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=11),
+    q=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=5000),
+)
+def test_subset_tables_against_brute_force(n, q, seed):
+    G = erdos_renyi(n, q, seed=seed)
+    for x in range(G.n):
+        assert_tables_match_brute_force(G, x)
 
 
 class TestSymmetryInvolution:
