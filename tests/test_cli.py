@@ -1,7 +1,9 @@
 """CLI subcommands, formats, exit codes, and determinism."""
 
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -250,6 +252,79 @@ class TestVerify:
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0] == "suite,name,status,detail" and "PASS" in lines[1]
+
+
+def _off_by_one(fn, k):
+    """``fn`` returning f-vectors whose entry k is one too large."""
+    def wrong(*args, **kwargs):
+        fvec = list(fn(*args, **kwargs))
+        fvec[k] += 1
+        return tuple(fvec)
+    return wrong
+
+
+def _curvature_off_at_vertex_2(fn):
+    return lambda G, x: fn(G, x) + (x == 2)
+
+
+def _table_off_at_vertex_3(fn):
+    """Subset tables whose 1-subset vertex count is one too large at vertex 3."""
+    def wrong(G, x):
+        table = [list(row) for row in fn(G, x)]
+        if x == 3:
+            table[1][0] += 1
+        return tuple(tuple(row) for row in table)
+    return wrong
+
+
+def _walk_to_constant_order(fn):
+    # A constant rank tuple leaves every exit set empty: index sum n, not chi.
+    return lambda start: iter([(0,) * len(start)])
+
+
+# suite -> (module, attribute, fault, failing row, detail pattern). Each fault
+# breaks one input of one check on the octahedron (f = (6, 12, 8), chi = 2).
+FAULTS = {
+    "gauss_bonnet": ("curvature", "count_cliques", lambda fn: _off_by_one(fn, 0),
+                     "octahedron", r"sum K = 2, chi = 3$"),
+    "poincare_hopf": ("verify", "count_cliques", lambda fn: _off_by_one(fn, 0),
+                      "octahedron", r"chi = 3, index sums over 20 orders = \[2\]$"),
+    "transfer": ("curvature", "count_cliques", lambda fn: _off_by_one(fn, 1),
+                 "octahedron", r"failed at k = \[1\]$"),
+    "intermediate": ("morse", "count_cliques", lambda fn: _off_by_one(fn, 2),
+                     "octahedron", r"failed rows: \[\w+\(k=1, lhs=8, rhs=9, equal=False\), "),
+    "stability": ("morse", "transposition_path", _walk_to_constant_order,
+                  "octahedron", r"50 orders \+ walk$"),
+    "expectation": ("verify", "curvature", _curvature_off_at_vertex_2,
+                    "octahedron", r"mismatch at vertices \[2\]$"),
+    "averaging": ("expectation", "clique_counts_by_subset_size", _table_off_at_vertex_3,
+                  "octahedron", r"mismatch at \(vertex, k\) \[\(3, 0\)\]$"),
+    "percolation": ("verify", "count_cliques", lambda fn: _off_by_one(fn, 1),
+                    "octahedron:exact", r"failed: \[\(1, 'site'\), \(1, 'site', 'host dependence'\)"),
+}
+
+
+class TestVerifyFailures:
+    @pytest.mark.parametrize("suite", sorted(FAULTS))
+    def test_failed_check_is_reported(self, capsys, monkeypatch, suite):
+        module, attr, fault, name, detail = FAULTS[suite]
+        owner = importlib.import_module(f"graphcurvature.{module}")
+        monkeypatch.setattr(owner, attr, fault(getattr(owner, attr)))
+        code, out = run_cli(capsys, "verify", "octahedron", "--suite", suite, "--format", "json")
+        assert code == 1
+        payload = json.loads(out)
+        failed = [r for r in payload["results"] if r["status"] == "FAIL"]
+        assert [(r["suite"], r["name"]) for r in failed] == [(suite, name)]
+        assert re.match(detail, failed[0]["detail"]), failed[0]["detail"]
+        assert payload["summary"] == {**payload["summary"], "failed": 1, "ok": False}
+
+    def test_human_output_names_the_failure(self, capsys, monkeypatch):
+        module, attr, fault, _, _ = FAULTS["transfer"]
+        owner = importlib.import_module(f"graphcurvature.{module}")
+        monkeypatch.setattr(owner, attr, fault(getattr(owner, attr)))
+        code, out = run_cli(capsys, "verify", "octahedron", "--suite", "transfer")
+        assert code == 1
+        assert out == "FAIL  transfer      octahedron  failed at k = [1]\n0 passed, 1 failed, 0 skipped\n"
 
 
 class TestBench:

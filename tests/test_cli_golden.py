@@ -54,6 +54,9 @@ CASES = {
         "percolation", "complete:n=5", "--k", "1", "--trials", "200", "--seed", "3", "--grid", "4",
     ],
     "verify_skip": ["verify", "star:n=18", "--seed", "1"],
+    "verify_cliques": [
+        "verify", "erdos_renyi:n=14,q=0.6,seed=2", "--degree-cap", "8", "--seed", "3",
+    ],
     "bench": ["bench", "--n", "20", "--q", "0.3", "--seeds", "0,1"],
 }
 
