@@ -304,9 +304,12 @@ def erdos_renyi(n: int, q: float, seed: int) -> Graph:
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {q}")
     rng = np.random.default_rng(seed)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    draws = rng.random(len(pairs))
-    return Graph.from_edges(n, [p for p, d in zip(pairs, draws) if d < q])
+    # Row i draws for the pairs (i, i+1), ..., (i, n-1): the same stream, in
+    # the same order, as one draw for all n(n-1)/2 pairs, in O(n + m) memory.
+    edges = []
+    for i in range(n - 1):
+        edges.extend((i, j) for j in (np.flatnonzero(rng.random(n - 1 - i) < q) + i + 1).tolist())
+    return Graph.from_edges(n, edges)
 
 
 # kind -> builder(need, seed); ``need(name)`` returns parameter n or q, or

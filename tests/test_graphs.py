@@ -227,6 +227,16 @@ class TestGenerators:
         assert erdos_renyi(10, 0.0, seed=7).edges == ()
         assert erdos_renyi(10, 1.0, seed=7) == complete_graph(10)
 
+    @pytest.mark.parametrize("n,q,seed", [
+        (0, 0.5, 1), (1, 0.5, 1), (2, 0.5, 3), (30, 0.3, 4), (200, 0.1, 3), (57, 0.9, 11),
+    ])
+    def test_erdos_renyi_matches_pair_list(self, n, q, seed):
+        # The construction before row-wise draws: one draw per pair, row-major.
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        draws = np.random.default_rng(seed).random(len(pairs))
+        expected = Graph.from_edges(n, [p for p, d in zip(pairs, draws) if d < q])
+        assert erdos_renyi(n, q, seed=seed) == expected
+
     def test_erdos_renyi_reproducible(self):
         assert erdos_renyi(15, 0.3, seed=9) == erdos_renyi(15, 0.3, seed=9)
         assert erdos_renyi(15, 0.3, seed=9) != erdos_renyi(15, 0.3, seed=10)
