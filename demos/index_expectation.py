@@ -10,7 +10,7 @@ import graphcurvature as gc
 
 def main():
     G = gc.icosahedron()
-    plan = gc.TrialPlan(samples=40_000, master_seed=99, workers=4)
+    plan = gc.TrialPlan(samples=40_000, master_seed=99)
     rep = gc.mc_index_expectation(G, plan, with_exact=True)
 
     print("icosahedron, 40000 random orders per vertex\n")

@@ -31,7 +31,7 @@ def main():
     print("Monte Carlo with p drawn uniformly each trial "
           "(20000 trials):\n")
     for name, G in hosts:
-        rep = gc.clique_survival_integral(G, 2, 20_000, seed=21, workers=4)
+        rep = gc.clique_survival_integral(G, 2, 20_000, seed=21)
         s = rep.summary
         print(f"  {name:12s} k=2 site  estimate {s.estimate:.5f} +- {s.stderr:.5f}"
               f"   exact {s.exact}")
@@ -39,7 +39,7 @@ def main():
 
     print("\nbond mode on the icosahedron (triangles need 3 surviving edges):")
     rep = gc.clique_survival_integral(gc.icosahedron(), 2, 20_000, seed=22,
-                                      mode="bond", workers=4)
+                                      mode="bond")
     s = rep.summary
     print(f"  k=2 bond  estimate {s.estimate:.5f} +- {s.stderr:.5f}   exact {s.exact}")
     assert s.exact == Fraction(1, 4)

@@ -108,6 +108,19 @@ class TestCountCliques:
         with pytest.raises(Stop):
             count_cliques(complete_graph(17), progress=cb)
 
+    def test_matches_networkx_on_corpus(self, corpus):
+        nx = pytest.importorskip("networkx")
+        for name, G in corpus:
+            H = nx.Graph()
+            H.add_nodes_from(range(G.n))
+            H.add_edges_from(G.edges)
+            fvec = []
+            for clique in nx.enumerate_all_cliques(H):  # in order of size
+                if len(clique) > len(fvec):
+                    fvec.append(0)
+                fvec[-1] += 1
+            assert count_cliques(G) == tuple(fvec), name
+
 
 class TestMaskEnumeration:
     def test_count_in_mask_matches_subgraph(self):
