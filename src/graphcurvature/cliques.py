@@ -9,11 +9,25 @@ so every clique is visited exactly once.
 from __future__ import annotations
 
 import warnings
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .graphs import Graph, unit_sphere
 
 FVector = tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class IdentityCheck:
+    """One row of an identity check: ``lhs == rhs`` at clique index ``k``.
+
+    ``k`` is None for identities with one row per graph (Gauss-Bonnet).
+    """
+
+    k: int | None
+    lhs: object
+    rhs: object
+    equal: bool
 
 # Clique visits before a slow-enumeration warning is emitted.
 DEFAULT_WORK_BUDGET = 50_000_000

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .cliques import count_cliques, euler_characteristic, vertex_clique_degrees
+from .cliques import IdentityCheck, count_cliques, euler_characteristic, vertex_clique_degrees
 from .graphs import Graph
 
 
@@ -57,32 +57,18 @@ def curvature_field(G: Graph,
     return CurvatureField(tuple(values), sum(values, Fraction(0)))
 
 
-@dataclass(frozen=True)
-class GaussBonnetReport:
-    lhs: Fraction  # sum of curvatures
-    rhs: int       # Euler characteristic via clique counts
-    equal: bool
-
-
-def verify_gauss_bonnet(G: Graph) -> GaussBonnetReport:
-    """Compare sum_x K(x) against the clique-count Euler characteristic."""
+def verify_gauss_bonnet(G: Graph) -> IdentityCheck:
+    """Compare sum_x K(x) (lhs) against the clique-count Euler characteristic (rhs)."""
     lhs = curvature_field(G).total
     rhs = euler_characteristic(count_cliques(G))
-    return GaussBonnetReport(lhs, rhs, lhs == rhs)
+    return IdentityCheck(None, lhs, rhs, lhs == rhs)
 
 
-@dataclass(frozen=True)
-class TransferCheck:
-    k: int
-    lhs: int  # sum_x V_{k-1}(x)
-    rhs: int  # (k+1) * v_k
-    equal: bool
-
-
-def verify_transfer_equations(G: Graph) -> tuple[TransferCheck, ...]:
+def verify_transfer_equations(G: Graph) -> tuple[IdentityCheck, ...]:
     """Check sum_x V_{k-1}(x) = (k+1) v_k for every k with v_k > 0.
 
-    k = 0 is the vertex count (V_{-1} = 1); k = 1 is Euler's handshake.
+    The rows hold lhs = sum_x V_{k-1}(x) and rhs = (k+1) v_k. k = 0 is the
+    vertex count (V_{-1} = 1); k = 1 is Euler's handshake.
     """
     fvec = count_cliques(G)
     sphere_fvecs = [vertex_clique_degrees(G, x) for x in range(G.n)]
@@ -93,5 +79,5 @@ def verify_transfer_equations(G: Graph) -> tuple[TransferCheck, ...]:
         else:
             lhs = sum(sf[k - 1] if k - 1 < len(sf) else 0 for sf in sphere_fvecs)
         rhs = (k + 1) * vk
-        checks.append(TransferCheck(k, lhs, rhs, lhs == rhs))
+        checks.append(IdentityCheck(k, lhs, rhs, lhs == rhs))
     return tuple(checks)

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cliques import count_cliques_in_mask
+from .cliques import IdentityCheck, count_cliques_in_mask
 from .curvature import curvature
 from .graphs import Graph, sphere_masks
 from .morse import IndexCalculator, all_orders
@@ -35,7 +35,9 @@ class DegreeCapError(ValueError):
 
 # Subset tables are int32, which is exact while d <= 30: then |chi(A)| < 2^d
 # and f_k(A) <= C(d, k+1) < 2^31. Their int64 sums by size stay below 2^61.
-MAX_SUBSET_DEGREE = 30
+# Memory sets the lower limit used: the tables take about 13 bytes per
+# subset, so degree 24 needs about 220 MB and degree 30 would need 14 GB.
+MAX_SUBSET_DEGREE = 24
 
 # Subsets per numpy call. Gathers and np.add.at widen their operands to
 # int64 first, and chunks keep those copies small beside the int32 tables.
@@ -58,18 +60,33 @@ def _blocks(size: int):
         lo <<= 1
 
 
+def _check_degree(G: Graph, x: int, cap: int, what: str) -> int:
+    """The degree d of x; DegreeCapError names ``what`` when d > cap."""
+    d = G.degree(x)
+    if d > cap:
+        raise DegreeCapError(f"vertex {x} has degree {d}, above the {what}")
+    return d
+
+
+def _uniform_rank_mean(sums: Sequence[int]) -> Fraction:
+    """(1/(d+1)) sum_m s_m / C(d, m) for ``sums`` = (s_0, ..., s_d).
+
+    The rank of x within {x} union S(x) is uniform over d+1 slots, and given
+    m neighbors below x they form a uniform m-subset of the sphere. So if
+    s_m totals a quantity over the m-subsets of S(x), this is its expected
+    value on the neighbors below x in a uniform random order.
+    """
+    d = len(sums) - 1
+    return sum((Fraction(s, comb(d, m)) for m, s in enumerate(sums)), Fraction(0)) / (d + 1)
+
+
 def _subset_tables(G: Graph, x: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
     """Sphere masks of x, subset sizes, and the split index of every subset.
 
     For a subset A of S(x) with highest vertex v, ``split[A]`` is
     N(v) & (A - v); ``split[0]`` is 0.
     """
-    d = G.degree(x)
-    if d > MAX_SUBSET_DEGREE:
-        raise DegreeCapError(
-            f"vertex {x} has degree {d}, above the {MAX_SUBSET_DEGREE} limit "
-            "for exact int32 subset tables"
-        )
+    d = _check_degree(G, x, MAX_SUBSET_DEGREE, f"{MAX_SUBSET_DEGREE} limit for subset tables")
     masks = sphere_masks(G, x)
     pop = np.zeros(1 << d, dtype=np.uint8)
     split = np.arange(1 << d, dtype=np.int32)
@@ -114,21 +131,15 @@ def chi_by_subset_size(G: Graph, x: int) -> tuple[int, ...]:
 def exact_index_expectation(G: Graph, x: int, degree_cap: int = 20) -> Fraction:
     """E[i_f(x)] over uniform random injective f, as an exact rational.
 
-    The rank of x within {x} union S(x) is uniform over deg(x)+1 slots, and
-    given m neighbors below x they form a uniform m-subset of the sphere:
+    Since i_f(x) = 1 - chi(S_f^-(x)), it is one minus the uniform-rank mean
+    of chi over sphere subsets:
 
         E[i_f(x)] = 1 - (1/(d+1)) * sum_m mean chi over m-subsets.
 
     Work and memory scale with 2^deg(x); ``degree_cap`` guards the blowup.
     """
-    d = G.degree(x)
-    if d > degree_cap:
-        raise DegreeCapError(
-            f"vertex {x} has degree {d}, above the cap {degree_cap} for 2^degree subset enumeration"
-        )
-    sums = chi_by_subset_size(G, x)
-    total = sum(Fraction(sums[m], comb(d, m)) for m in range(d + 1))
-    return 1 - total / (d + 1)
+    _check_degree(G, x, degree_cap, f"cap {degree_cap} for 2^degree subset enumeration")
+    return 1 - _uniform_rank_mean(chi_by_subset_size(G, x))
 
 
 def exact_expectation_by_permutations(G: Graph, max_n: int = 8) -> tuple[Fraction, ...]:
@@ -148,16 +159,6 @@ def exact_expectation_by_permutations(G: Graph, max_n: int = 8) -> tuple[Fractio
             totals[x] += calc.index(order, x)
     assert count == factorial(G.n)
     return tuple(Fraction(t, count) for t in totals)
-
-
-@dataclass(frozen=True)
-class AveragingCheck:
-    """One row of E[V_k^-(x)] = V_k(x) / (k+2)."""
-
-    k: int
-    lhs: Fraction
-    rhs: Fraction
-    equal: bool
 
 
 def clique_counts_by_subset_size(G: Graph, x: int) -> tuple[tuple[int, ...], ...]:
@@ -189,28 +190,20 @@ def clique_counts_by_subset_size(G: Graph, x: int) -> tuple[tuple[int, ...], ...
     return tuple(zip(*columns))
 
 
-def verify_averaging_equation(G: Graph, x: int, degree_cap: int = 16) -> tuple[AveragingCheck, ...]:
+def verify_averaging_equation(G: Graph, x: int, degree_cap: int = 16) -> tuple[IdentityCheck, ...]:
     """Check E[V_k^-(x)] = V_k(x)/(k+2) for all k at one vertex, exactly.
 
     The left side is computed by enumeration: count cliques of each size
     in every sphere subset, then average over the uniform subset-size
     mixture that random orders induce. Only k with V_k(x) > 0 appear.
     """
-    d = G.degree(x)
-    if d > degree_cap:
-        raise DegreeCapError(
-            f"vertex {x} has degree {d}, above the cap {degree_cap} for subset clique enumeration"
-        )
-    sums_by_size = clique_counts_by_subset_size(G, x)
+    _check_degree(G, x, degree_cap, f"cap {degree_cap} for subset clique enumeration")
     checks = []
-    # The only d-subset of S(x) is S(x) itself, so row d is its f-vector.
-    for k, vk in enumerate(sums_by_size[d]):
-        lhs = sum(
-            (Fraction(sums_by_size[m][k], comb(d, m)) for m in range(d + 1)),
-            Fraction(0),
-        ) / (d + 1)
-        rhs = Fraction(vk, k + 2)
-        checks.append(AveragingCheck(k=k, lhs=lhs, rhs=rhs, equal=lhs == rhs))
+    # The only d-subset of S(x) is S(x) itself, so a column's last entry is V_k(x).
+    for k, sums in enumerate(zip(*clique_counts_by_subset_size(G, x))):
+        lhs = _uniform_rank_mean(sums)
+        rhs = Fraction(sums[-1], k + 2)
+        checks.append(IdentityCheck(k, lhs, rhs, lhs == rhs))
     return tuple(checks)
 
 

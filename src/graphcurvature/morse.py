@@ -16,6 +16,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .cliques import (
+    IdentityCheck,
     cliques_by_size_in_mask,
     count_cliques,
     count_cliques_in_mask,
@@ -218,17 +219,7 @@ class IndexCalculator:
         return tuple(minus), tuple(plus), tuple(mixed)
 
 
-@dataclass(frozen=True)
-class IntermediateCheck:
-    """One row of the mixed-clique identity: sum_x W_k(x) = k * v_{k+1}."""
-
-    k: int
-    lhs: int
-    rhs: int
-    equal: bool
-
-
-def verify_intermediate_equations(G: Graph, order: Sequence[int]) -> tuple[IntermediateCheck, ...]:
+def verify_intermediate_equations(G: Graph, order: Sequence[int]) -> tuple[IdentityCheck, ...]:
     """Check sum_x W_k(x) = k * v_{k+1} for one fixed order, all k.
 
     W_k(x) counts (k+1)-cliques in S(x) with vertices on both sides of x.
@@ -246,7 +237,7 @@ def verify_intermediate_equations(G: Graph, order: Sequence[int]) -> tuple[Inter
     checks = []
     for k in range(kmax):
         rhs = k * (fvec[k + 1] if k + 1 < len(fvec) else 0)
-        checks.append(IntermediateCheck(k=k, lhs=lhs[k], rhs=rhs, equal=lhs[k] == rhs))
+        checks.append(IdentityCheck(k, lhs[k], rhs, lhs[k] == rhs))
     return tuple(checks)
 
 

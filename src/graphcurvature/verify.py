@@ -1,8 +1,10 @@
 """Pass/fail suites for every identity the library implements.
 
-Each suite takes (name, graph) pairs and returns CheckResult rows. Checks
-that would exceed a degree cap are reported as skipped with a reason, not
-as failures, so dense corpus graphs never block a verification run.
+Each suite takes (name, graph) pairs and returns CheckResult rows: one row
+per graph (percolation: an exact row, and a Monte Carlo row when the graph
+has edges), plus, in the exact expectation and averaging suites, one SKIP
+row per vertex above the degree cap. Skipped checks carry their reason and
+are not failures, so dense corpus graphs never block a verification run.
 """
 
 from __future__ import annotations
@@ -15,11 +17,7 @@ import numpy as np
 
 from .cliques import count_cliques, euler_characteristic
 from .curvature import curvature, verify_gauss_bonnet, verify_transfer_equations
-from .expectation import (
-    DegreeCapError,
-    exact_index_expectation,
-    verify_averaging_equation,
-)
+from .expectation import exact_index_expectation, verify_averaging_equation
 from .graphs import Graph
 from .morse import (
     IndexCalculator,
@@ -73,168 +71,115 @@ class CheckResult:
         }
 
 
+# The ok of a row whose check was skipped.
+SKIP = None
+
+
+def _rows(suite: str, graphs: Sequence[NamedGraph], check) -> list[CheckResult]:
+    """The rows of one suite, graph by graph.
+
+    ``check(G)`` yields one (suffix, ok, detail) per row of graph G; the row
+    is named by the graph's name plus ``suffix``; an ok of SKIP marks a
+    skipped check.
+    """
+    return [
+        CheckResult(suite, name + suffix, ok=ok is SKIP or ok, skipped=ok is SKIP, detail=detail)
+        for name, G in graphs
+        for suffix, ok, detail in check(G)
+    ]
+
+
+def _vertex_rows(G: Graph, degree_cap: int, mismatches, passed: str, failed: str, skipped: str):
+    """One row over the vertices of degree <= degree_cap, then one SKIP row
+    per vertex above it.
+
+    ``mismatches(G, x)`` lists the failures at vertex x. The row's detail is
+    ``passed`` and the count of vertices checked, or ``failed`` and the first
+    five failures; a SKIP row names the ``skipped`` enumeration.
+    """
+    over = [x for x in range(G.n) if G.degree(x) > degree_cap]
+    bad = [m for x in range(G.n) if G.degree(x) <= degree_cap for m in mismatches(G, x)]
+    yield "", not bad, f"mismatch at {failed} {bad[:5]}" if bad else f"{passed}{G.n - len(over)}/{G.n} vertices"
+    for x in over:
+        yield f":v{x}", SKIP, f"degree {G.degree(x)} above cap {degree_cap}, {skipped} enumeration skipped"
+
+
 def gauss_bonnet_suite(graphs: Sequence[NamedGraph]) -> list[CheckResult]:
     """Total curvature equals the clique-route Euler characteristic."""
-    out = []
-    for name, G in graphs:
-        rep = verify_gauss_bonnet(G)
-        out.append(
-            CheckResult(
-                suite="gauss_bonnet",
-                name=name,
-                ok=rep.equal,
-                detail=f"sum K = {rep.lhs}, chi = {rep.rhs}",
-            )
-        )
-    return out
+    def check(G):
+        c = verify_gauss_bonnet(G)
+        yield "", c.equal, f"sum K = {c.lhs}, chi = {c.rhs}"
+
+    return _rows("gauss_bonnet", graphs, check)
 
 
 def poincare_hopf_suite(
     graphs: Sequence[NamedGraph], orders: int = 20, seed: int = DEFAULT_SEED
 ) -> list[CheckResult]:
     """Index sums of random orders all equal the clique-route chi."""
-    out = []
-    for name, G in graphs:
+    def check(G):
         chi = euler_characteristic(count_cliques(G))
         calc = IndexCalculator(G)
         rng = np.random.default_rng(seed)
         sums = {calc.index_sum(random_order(G.n, rng)) for _ in range(orders)}
-        ok = sums == {chi}
-        out.append(
-            CheckResult(
-                suite="poincare_hopf",
-                name=name,
-                ok=ok,
-                detail=f"chi = {chi}, index sums over {orders} orders = {sorted(sums)}",
-            )
-        )
-    return out
+        yield "", sums == {chi}, f"chi = {chi}, index sums over {orders} orders = {sorted(sums)}"
+
+    return _rows("poincare_hopf", graphs, check)
 
 
 def transfer_suite(graphs: Sequence[NamedGraph]) -> list[CheckResult]:
     """sum_x V_{k-1}(x) = (k+1) v_k for every k."""
-    out = []
-    for name, G in graphs:
+    def check(G):
         checks = verify_transfer_equations(G)
-        bad = [c for c in checks if not c.equal]
-        out.append(
-            CheckResult(
-                suite="transfer",
-                name=name,
-                ok=not bad,
-                detail=f"{len(checks)} k values" if not bad else f"failed at k = {[c.k for c in bad]}",
-            )
-        )
-    return out
+        bad = [c.k for c in checks if not c.equal]
+        yield "", not bad, f"failed at k = {bad}" if bad else f"{len(checks)} k values"
+
+    return _rows("transfer", graphs, check)
 
 
 def intermediate_suite(
     graphs: Sequence[NamedGraph], orders: int = 5, seed: int = DEFAULT_SEED
 ) -> list[CheckResult]:
     """sum_x W_k(x) = k v_{k+1} for random orders."""
-    out = []
-    for name, G in graphs:
+    def check(G):
         rng = np.random.default_rng(seed)
-        bad = []
-        for _ in range(orders):
-            f = random_order(G.n, rng)
-            bad.extend(c for c in verify_intermediate_equations(G, f) if not c.equal)
-        out.append(
-            CheckResult(
-                suite="intermediate",
-                name=name,
-                ok=not bad,
-                detail=f"{orders} orders" if not bad else f"failed rows: {bad[:3]}",
-            )
-        )
-    return out
+        bad = [
+            c
+            for _ in range(orders)
+            for c in verify_intermediate_equations(G, random_order(G.n, rng))
+            if not c.equal
+        ]
+        yield "", not bad, f"failed rows: {bad[:3]}" if bad else f"{orders} orders"
+
+    return _rows("intermediate", graphs, check)
 
 
 def stability_suite(
     graphs: Sequence[NamedGraph], trials: int = 50, seed: int = DEFAULT_SEED
 ) -> list[CheckResult]:
     """Index sum constant across random orders and a transposition walk."""
-    out = []
-    for name, G in graphs:
-        ok = verify_index_stability(G, trials=trials, seed=seed)
-        out.append(CheckResult(suite="stability", name=name, ok=ok, detail=f"{trials} orders + walk"))
-    return out
+    def check(G):
+        yield "", verify_index_stability(G, trials=trials, seed=seed), f"{trials} orders + walk"
+
+    return _rows("stability", graphs, check)
 
 
 def expectation_suite(graphs: Sequence[NamedGraph], degree_cap: int = 16) -> list[CheckResult]:
     """exact_index_expectation equals curvature at every vertex under the cap."""
-    out = []
-    for name, G in graphs:
-        bad = []
-        skipped = []
-        for x in range(G.n):
-            if G.degree(x) > degree_cap:
-                skipped.append(x)
-                continue
-            if exact_index_expectation(G, x, degree_cap=degree_cap) != curvature(G, x):
-                bad.append(x)
-        checked = G.n - len(skipped)
-        out.append(
-            CheckResult(
-                suite="expectation",
-                name=name,
-                ok=not bad,
-                detail=(
-                    f"E[i] = K at {checked}/{G.n} vertices"
-                    if not bad
-                    else f"mismatch at vertices {bad[:5]}"
-                ),
-            )
-        )
-        for x in skipped:
-            out.append(
-                CheckResult(
-                    suite="expectation",
-                    name=f"{name}:v{x}",
-                    ok=True,
-                    skipped=True,
-                    detail=f"degree {G.degree(x)} above cap {degree_cap}, 2^degree enumeration skipped",
-                )
-            )
-    return out
+    def mismatches(G, x):
+        return [x] if exact_index_expectation(G, x, degree_cap=degree_cap) != curvature(G, x) else []
+
+    return _rows("expectation", graphs, lambda G: _vertex_rows(
+        G, degree_cap, mismatches, "E[i] = K at ", "vertices", "2^degree"))
 
 
 def averaging_suite(graphs: Sequence[NamedGraph], degree_cap: int = 16) -> list[CheckResult]:
     """E[V_k^-(x)] = V_k(x)/(k+2) at every vertex under the cap."""
-    out = []
-    for name, G in graphs:
-        bad = []
-        skipped = []
-        for x in range(G.n):
-            try:
-                checks = verify_averaging_equation(G, x, degree_cap=degree_cap)
-            except DegreeCapError:
-                skipped.append(x)
-                continue
-            bad.extend((x, c.k) for c in checks if not c.equal)
-        out.append(
-            CheckResult(
-                suite="averaging",
-                name=name,
-                ok=not bad,
-                detail=(
-                    f"{G.n - len(skipped)}/{G.n} vertices"
-                    if not bad
-                    else f"mismatch at (vertex, k) {bad[:5]}"
-                ),
-            )
-        )
-        for x in skipped:
-            out.append(
-                CheckResult(
-                    suite="averaging",
-                    name=f"{name}:v{x}",
-                    ok=True,
-                    skipped=True,
-                    detail=f"degree {G.degree(x)} above cap {degree_cap}, subset enumeration skipped",
-                )
-            )
-    return out
+    def mismatches(G, x):
+        return [(x, c.k) for c in verify_averaging_equation(G, x, degree_cap=degree_cap) if not c.equal]
+
+    return _rows("averaging", graphs, lambda G: _vertex_rows(
+        G, degree_cap, mismatches, "", "(vertex, k)", "subset"))
 
 
 def percolation_suite(
@@ -249,8 +194,7 @@ def percolation_suite(
     v_k/(exponent+1) in both modes. One modest site run at k=1 is checked
     against 1/3 within six standard errors.
     """
-    out = []
-    for name, G in graphs:
+    def check(G):
         fvec = count_cliques(G)
         bad = []
         for k in range(min(max_k + 1, len(fvec))):
@@ -261,28 +205,13 @@ def percolation_suite(
                     bad.append((k, mode))
                 if Fraction(poly.integral(), fvec[k]) != Fraction(1, e + 1):
                     bad.append((k, mode, "host dependence"))
-        out.append(
-            CheckResult(
-                suite="percolation",
-                name=f"{name}:exact",
-                ok=not bad,
-                detail="integrals match" if not bad else f"failed: {bad[:4]}",
-            )
-        )
+        yield ":exact", not bad, "integrals match" if not bad else f"failed: {bad[:4]}"
         if len(fvec) > 1 and fvec[1] > 0:
-            rep = clique_survival_integral(G, 1, trials, seed=seed, mode="site")
-            s = rep.summary
-            err = abs(s.estimate - 1 / 3)
-            ok = s.stderr is not None and err <= 6 * s.stderr
-            out.append(
-                CheckResult(
-                    suite="percolation",
-                    name=f"{name}:mc",
-                    ok=ok,
-                    detail=f"estimate {s.estimate:.4f} vs 1/3, stderr {s.stderr:.4f}",
-                )
-            )
-    return out
+            s = clique_survival_integral(G, 1, trials, seed=seed, mode="site").summary
+            ok = s.stderr is not None and abs(s.estimate - 1 / 3) <= 6 * s.stderr
+            yield ":mc", ok, f"estimate {s.estimate:.4f} vs 1/3, stderr {s.stderr:.4f}"
+
+    return _rows("percolation", graphs, check)
 
 
 def run_suites(

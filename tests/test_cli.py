@@ -148,10 +148,12 @@ class TestExpectation:
         assert "error: --degree-cap must be at least 0, got -1" in captured.err
 
     def test_degree_cap_above_limit_is_usage_error(self, capsys):
-        code = main(["expectation", "icosahedron", "--samples", "5", "--exact", "--degree-cap", "31"])
+        # The limit is 24: tables at degree 25 would take about 440 MB.
+        code = main(["expectation", "icosahedron", "--samples", "5", "--exact", "--degree-cap", "25"])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert "error: --degree-cap must be at most 30, got 31" in captured.err
+        assert "error: --degree-cap must be at most 24, got 25" in captured.err
+        assert main(["expectation", "icosahedron", "--samples", "5", "--exact", "--degree-cap", "24"]) == 0
 
 
 class TestPercolation:
@@ -242,10 +244,11 @@ class TestVerify:
         assert "error: --degree-cap must be at least 0, got -1" in captured.err
 
     def test_degree_cap_above_limit_is_usage_error(self, capsys):
-        code = main(["verify", "icosahedron", "--suite", "expectation", "--degree-cap", "40"])
+        code = main(["verify", "icosahedron", "--suite", "expectation", "--degree-cap", "25"])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert "error: --degree-cap must be at most 30, got 40" in captured.err
+        assert "error: --degree-cap must be at most 24, got 25" in captured.err
+        assert main(["verify", "icosahedron", "--suite", "expectation", "--degree-cap", "24"]) == 0
 
     def test_single_suite(self, capsys):
         code, out = run_cli(capsys, "verify", "icosahedron", "--suite", "gauss_bonnet", "--format", "csv")

@@ -184,7 +184,7 @@ class TestSubsetTablesBruteForce:
                 assert all(c.equal for c in verify_averaging_equation(G, x, degree_cap=20)), x
 
     def test_degree_limit_fails_fast(self):
-        G = star_graph(32)  # centre degree 31
+        G = star_graph(26)  # centre degree 25, one above the limit
         for table in (chi_by_subset_size, clique_counts_by_subset_size):
             t0 = time.perf_counter()
             with pytest.raises(DegreeCapError, match=f"above the {MAX_SUBSET_DEGREE} limit"):
