@@ -36,9 +36,17 @@ from .verify import SUITES, run_suites, summarize
 FORMATS = ("json", "csv", "human")
 
 
+def parse_number(kind, text: str, what: str):
+    """``kind(text)``, or a ValueError that names ``what`` when text is not one."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{what} must be {'an integer' if kind is int else 'a number'}, got {text!r}") from None
+
+
 def default_seed() -> int:
     env = os.environ.get("DISCRETE_GB_SEED")
-    return int(env) if env else DEFAULT_SEED
+    return parse_number(int, env, "DISCRETE_GB_SEED") if env else DEFAULT_SEED
 
 
 def resolve_seed(args) -> int:
@@ -54,9 +62,9 @@ def parse_generator_spec(spec: str) -> Graph:
         if not sep:
             raise ValueError(f"bad generator parameter {item!r}, expected key=value")
         params[key.strip()] = value.strip()
-    n = int(params.pop("n")) if "n" in params else None
-    q = float(params.pop("q")) if "q" in params else None
-    seed = int(params.pop("seed")) if "seed" in params else 0
+    n = parse_number(int, params.pop("n"), "generator parameter n") if "n" in params else None
+    q = parse_number(float, params.pop("q"), "generator parameter q") if "q" in params else None
+    seed = parse_number(int, params.pop("seed"), "generator parameter seed") if "seed" in params else 0
     if params:
         raise ValueError(f"unknown generator parameters {sorted(params)} for kind {kind!r}")
     return generate(kind, n=n, q=q, seed=seed)
@@ -321,6 +329,8 @@ class _Deadline:
 def cmd_bench(args) -> Output:
     if args.repetitions < 1:
         raise ValueError(f"--repetitions must be at least 1, got {args.repetitions}")
+    if args.budget_ms < 0:
+        raise ValueError(f"--budget-ms must be at least 0, got {args.budget_ms:g}")
     seeds = [int(s) for s in args.seeds.split(",")]
     rows = []
     chis: dict[int, set[int]] = {}

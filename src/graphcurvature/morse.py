@@ -17,7 +17,6 @@ import numpy as np
 
 from .cliques import (
     IdentityCheck,
-    cliques_by_size_in_mask,
     count_cliques,
     count_cliques_in_mask,
     euler_characteristic,
@@ -152,14 +151,14 @@ class IndexCalculator:
     For each vertex the unit sphere is mapped onto bit positions once, and
     the Euler characteristic of each exit subset is memoized by its bitmask.
     ``index`` matches the module-level function exactly; it is just cheaper
-    when evaluating thousands of orders on the same graph.
+    when evaluating thousands of orders on the same graph. ``clique_split``
+    counts sphere cliques on the same masks with the same kernel.
     """
 
     def __init__(self, G: Graph):
         self.G = G
         self._local_masks = [sphere_masks(G, x) for x in range(G.n)]
         self._chi_cache: list[dict[int, int]] = [{} for _ in range(G.n)]
-        self._sphere_cliques: list[tuple[tuple[int, ...], ...] | None] = [None] * G.n
 
     def exit_mask(self, order: Sequence[int], x: int) -> int:
         """Bitmask of sphere positions whose vertex has smaller rank than x."""
@@ -184,15 +183,6 @@ class IndexCalculator:
     def index_sum(self, order: Sequence[int]) -> int:
         return sum(self.index(order, x) for x in range(self.G.n))
 
-    def sphere_cliques(self, x: int) -> tuple[tuple[int, ...], ...]:
-        """Cliques of S(x) grouped by dimension, as sphere-position bitmasks."""
-        groups = self._sphere_cliques[x]
-        if groups is None:
-            full = (1 << len(self.G.adj[x])) - 1
-            groups = cliques_by_size_in_mask(self._local_masks[x], full)
-            self._sphere_cliques[x] = groups
-        return groups
-
     def clique_split(
         self, order: Sequence[int], x: int
     ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
@@ -200,23 +190,16 @@ class IndexCalculator:
 
         Entry k of each tuple counts (k+1)-vertex cliques of S(x) whose
         vertices lie entirely below x in the order, entirely above, or on
-        both sides.
+        both sides. The mixed count is all sphere cliques minus the other two.
         """
+        masks = self._local_masks[x]
+        full = (1 << len(masks)) - 1
         below = self.exit_mask(order, x)
-        groups = self.sphere_cliques(x)
-        minus = [0] * len(groups)
-        plus = [0] * len(groups)
-        mixed = [0] * len(groups)
-        for k, masks in enumerate(groups):
-            for cm in masks:
-                b = cm & below
-                if b == cm:
-                    minus[k] += 1
-                elif b == 0:
-                    plus[k] += 1
-                else:
-                    mixed[k] += 1
-        return tuple(minus), tuple(plus), tuple(mixed)
+        total = count_cliques_in_mask(masks, full)
+        pad = (0,) * len(total)
+        minus = (count_cliques_in_mask(masks, below) + pad)[:len(total)]
+        plus = (count_cliques_in_mask(masks, full ^ below) + pad)[:len(total)]
+        return minus, plus, tuple(t - m - p for t, m, p in zip(total, minus, plus))
 
 
 def verify_intermediate_equations(G: Graph, order: Sequence[int]) -> tuple[IdentityCheck, ...]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 from typing import Sequence
 
@@ -77,11 +78,7 @@ def _clique_event_masks(G: Graph, k: int, mode: str) -> tuple[list[int], int]:
     masks = []
     for cm in vertex_masks:
         verts = [i for i in range(G.n) if cm >> i & 1]
-        m = 0
-        for a in range(len(verts)):
-            for b in range(a + 1, len(verts)):
-                m |= 1 << edge_index[(verts[a], verts[b])]
-        masks.append(m)
+        masks.append(sum(1 << edge_index[e] for e in combinations(verts, 2)))
     return masks, len(G.edges)
 
 
@@ -144,6 +141,8 @@ def clique_survival_integral(
     report, for inspection or CSV output; it must not be negative.
     """
     exponent = survival_exponent(k, mode)
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
     if fixed_p is not None and not 0.0 <= fixed_p <= 1.0:
         raise ValueError(f"keep probability must lie in [0, 1], got {fixed_p}")
     if row_limit < 0:

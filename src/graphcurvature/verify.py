@@ -5,6 +5,7 @@ per graph (percolation: an exact row, and a Monte Carlo row when the graph
 has edges), plus, in the exact expectation and averaging suites, one SKIP
 row per vertex above the degree cap. Skipped checks carry their reason and
 are not failures, so dense corpus graphs never block a verification run.
+Suite sizes are fixed module constants; a run sets only seed and degree cap.
 """
 
 from __future__ import annotations
@@ -33,6 +34,12 @@ from .percolation import (
 from .trials import DEFAULT_SEED
 
 NamedGraph = tuple[str, Graph]
+
+POINCARE_HOPF_ORDERS = 20
+INTERMEDIATE_ORDERS = 5
+STABILITY_ORDERS = 50
+PERCOLATION_MAX_K = 3
+PERCOLATION_TRIALS = 2000
 
 # suite -> the run_suites options its ``<suite>_suite`` function takes.
 _SUITE_OPTIONS = {
@@ -113,16 +120,14 @@ def gauss_bonnet_suite(graphs: Sequence[NamedGraph]) -> list[CheckResult]:
     return _rows("gauss_bonnet", graphs, check)
 
 
-def poincare_hopf_suite(
-    graphs: Sequence[NamedGraph], orders: int = 20, seed: int = DEFAULT_SEED
-) -> list[CheckResult]:
+def poincare_hopf_suite(graphs: Sequence[NamedGraph], seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Index sums of random orders all equal the clique-route chi."""
     def check(G):
         chi = euler_characteristic(count_cliques(G))
         calc = IndexCalculator(G)
         rng = np.random.default_rng(seed)
-        sums = {calc.index_sum(random_order(G.n, rng)) for _ in range(orders)}
-        yield "", sums == {chi}, f"chi = {chi}, index sums over {orders} orders = {sorted(sums)}"
+        sums = {calc.index_sum(random_order(G.n, rng)) for _ in range(POINCARE_HOPF_ORDERS)}
+        yield "", sums == {chi}, f"chi = {chi}, index sums over {POINCARE_HOPF_ORDERS} orders = {sorted(sums)}"
 
     return _rows("poincare_hopf", graphs, check)
 
@@ -137,29 +142,25 @@ def transfer_suite(graphs: Sequence[NamedGraph]) -> list[CheckResult]:
     return _rows("transfer", graphs, check)
 
 
-def intermediate_suite(
-    graphs: Sequence[NamedGraph], orders: int = 5, seed: int = DEFAULT_SEED
-) -> list[CheckResult]:
+def intermediate_suite(graphs: Sequence[NamedGraph], seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """sum_x W_k(x) = k v_{k+1} for random orders."""
     def check(G):
         rng = np.random.default_rng(seed)
         bad = [
             c
-            for _ in range(orders)
+            for _ in range(INTERMEDIATE_ORDERS)
             for c in verify_intermediate_equations(G, random_order(G.n, rng))
             if not c.equal
         ]
-        yield "", not bad, f"failed rows: {bad[:3]}" if bad else f"{orders} orders"
+        yield "", not bad, f"failed rows: {bad[:3]}" if bad else f"{INTERMEDIATE_ORDERS} orders"
 
     return _rows("intermediate", graphs, check)
 
 
-def stability_suite(
-    graphs: Sequence[NamedGraph], trials: int = 50, seed: int = DEFAULT_SEED
-) -> list[CheckResult]:
+def stability_suite(graphs: Sequence[NamedGraph], seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Index sum constant across random orders and a transposition walk."""
     def check(G):
-        yield "", verify_index_stability(G, trials=trials, seed=seed), f"{trials} orders + walk"
+        yield "", verify_index_stability(G, trials=STABILITY_ORDERS, seed=seed), f"{STABILITY_ORDERS} orders + walk"
 
     return _rows("stability", graphs, check)
 
@@ -182,22 +183,17 @@ def averaging_suite(graphs: Sequence[NamedGraph], degree_cap: int = 16) -> list[
         G, degree_cap, mismatches, "", "(vertex, k)", "subset"))
 
 
-def percolation_suite(
-    graphs: Sequence[NamedGraph],
-    max_k: int = 3,
-    trials: int = 2000,
-    seed: int = DEFAULT_SEED,
-) -> list[CheckResult]:
+def percolation_suite(graphs: Sequence[NamedGraph], seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Exact survival integrals, plus a short Monte Carlo sanity run.
 
-    For every k with v_k > 0 the polynomial route must integrate to
-    v_k/(exponent+1) in both modes. One modest site run at k=1 is checked
-    against 1/3 within six standard errors.
+    For every k <= PERCOLATION_MAX_K with v_k > 0 the polynomial route must
+    integrate to v_k/(exponent+1) in both modes. One modest site run at k=1
+    is checked against 1/3 within six standard errors.
     """
     def check(G):
         fvec = count_cliques(G)
         bad = []
-        for k in range(min(max_k + 1, len(fvec))):
+        for k in range(min(PERCOLATION_MAX_K + 1, len(fvec))):
             for mode in ("site", "bond"):
                 poly = exact_survival_polynomial(G, k, mode)
                 e = survival_exponent(k, mode)
@@ -207,7 +203,7 @@ def percolation_suite(
                     bad.append((k, mode, "host dependence"))
         yield ":exact", not bad, "integrals match" if not bad else f"failed: {bad[:4]}"
         if len(fvec) > 1 and fvec[1] > 0:
-            s = clique_survival_integral(G, 1, trials, seed=seed, mode="site").summary
+            s = clique_survival_integral(G, 1, PERCOLATION_TRIALS, seed=seed, mode="site").summary
             ok = s.stderr is not None and abs(s.estimate - 1 / 3) <= 6 * s.stderr
             yield ":mc", ok, f"estimate {s.estimate:.4f} vs 1/3, stderr {s.stderr:.4f}"
 

@@ -76,6 +76,12 @@ class TestChi:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: graph JSON")
 
+    def test_bad_generator_parameter_names_it(self, capsys):
+        code = main(["chi", "erdos_renyi:n=abc"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: generator parameter n must be an integer, got 'abc'\n"
+
 
 class TestCurvature:
     def test_json_format(self, capsys):
@@ -222,6 +228,12 @@ class TestPercolation:
         assert code == 2 and captured.out == ""
         assert message in captured.err
 
+    def test_zero_trials_names_trials(self, capsys):
+        code = main(["percolation", "icosahedron", "--k", "1", "--trials", "0"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: trials must be positive, got 0\n"
+
 
 class TestVerify:
     def test_octahedron_all_pass(self, capsys):
@@ -358,6 +370,12 @@ class TestBench:
         assert code == 2 and captured.out == ""
         assert f"error: --repetitions must be at least 1, got {repetitions}" in captured.err
 
+    def test_negative_budget_is_usage_error(self, capsys):
+        code = main(["bench", "--n", "10", "--budget-ms", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "error: --budget-ms must be at least 0, got -1" in captured.err
+
     def test_empty_graph_rows(self, capsys):
         code, out = run_cli(capsys, "bench", "--n", "0", "--q", "0.5")
         assert code == 0 and len(out.strip().splitlines()) == 4
@@ -372,6 +390,13 @@ class TestSeedEnv:
         _, default_out = run_cli(capsys, "index", "cycle:n=7", "--format", "json")
         assert env_out == flag_out
         assert env_out != default_out
+
+    def test_non_integer_env_names_the_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("DISCRETE_GB_SEED", "abc")
+        code = main(["index", "cycle:n=4"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: DISCRETE_GB_SEED must be an integer, got 'abc'\n"
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -6,15 +6,17 @@ from math import factorial
 import numpy as np
 import pytest
 
-from graphcurvature.cliques import count_cliques, euler_characteristic
+from graphcurvature.cliques import cliques_by_size_in_mask, count_cliques, euler_characteristic
 from graphcurvature.corpus import base_corpus
 from graphcurvature.graphs import (
+    Graph,
     complete_graph,
     cycle_graph,
     erdos_renyi,
     icosahedron,
     path_graph,
     random_tree,
+    sphere_masks,
 )
 from graphcurvature.morse import (
     IndexCalculator,
@@ -233,6 +235,34 @@ class TestCliqueSplit:
                 p = plus[k] if k < len(plus) else 0
                 w = mixed[k] if k < len(mixed) else 0
                 assert vk == m + p + w, (x, k)
+
+    @staticmethod
+    def listed_split(G, order, x):
+        """(V^-, V^+, W) by classifying every listed sphere clique."""
+        masks = sphere_masks(G, x)
+        below = sum(1 << i for i, u in enumerate(G.adj[x]) if order[u] < order[x])
+        groups = cliques_by_size_in_mask(masks, (1 << len(masks)) - 1)
+        split = ([0] * len(groups), [0] * len(groups), [0] * len(groups))
+        for k, cliques in enumerate(groups):
+            for cm in cliques:
+                side = 0 if cm & below == cm else 1 if cm & below == 0 else 2
+                split[side][k] += 1
+        return tuple(tuple(counts) for counts in split)
+
+    def test_counts_match_listed_cliques(self):
+        """The counted split agrees with classifying every listed sphere clique,
+        at every vertex: the lowest and highest of each order (below empty or
+        full) and an isolated one included."""
+        for seed, q in ((1, 0.3), (2, 0.5), (3, 0.7), (4, 0.9)):
+            G = Graph.from_edges(13, erdos_renyi(12, q, seed=seed).edges)  # vertex 12 is isolated
+            calc = IndexCalculator(G)
+            for f in (random_order(13, 10 * seed + s) for s in range(3)):
+                for x in range(13):
+                    assert calc.clique_split(f, x) == self.listed_split(G, f, x), (seed, f, x)
+                lowest, highest = f.index(0), f.index(12)
+                assert calc.exit_mask(f, lowest) == 0
+                assert calc.exit_mask(f, highest) == (1 << G.degree(highest)) - 1
+            assert calc.clique_split(f, 12) == ((), (), ())
 
     def test_w0_identically_zero(self):
         G = complete_graph(5)

@@ -87,6 +87,11 @@ class TestDecimation:
         with pytest.raises(ValueError, match="keep probability"):
             clique_survival_integral(cycle_graph(3), 1, 10, mode="bond", fixed_p=-0.1)
 
+    @pytest.mark.parametrize("trials", [0, -4])
+    def test_trials_below_one(self, trials):
+        with pytest.raises(ValueError, match=f"trials must be positive, got {trials}"):
+            clique_survival_integral(cycle_graph(3), 1, trials)
+
 
 class TestExactPolynomial:
     def test_k4_triangles(self):
