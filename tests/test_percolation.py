@@ -6,6 +6,7 @@ from math import comb, factorial
 
 import pytest
 
+from graphcurvature import percolation, trials
 from graphcurvature.cliques import count_cliques
 from graphcurvature.graphs import (
     Graph,
@@ -15,6 +16,7 @@ from graphcurvature.graphs import (
     icosahedron,
     induced_subgraph,
     octahedron,
+    path_graph,
 )
 from graphcurvature.percolation import (
     MODES,
@@ -23,6 +25,7 @@ from graphcurvature.percolation import (
     survival_exponent,
     survival_grid,
 )
+from graphcurvature.trials import TrialPlan, mean_and_stderr
 
 
 def vk(G: Graph, k: int) -> int:
@@ -190,3 +193,97 @@ class TestMonteCarlo:
         assert [r["p"] for r in rows] == [0.25, 0.75]
         for r in rows:
             assert abs(r["ratio"] - r["exact"]) <= 4 * r["stderr"]
+
+
+def reference_survival(G: Graph, k: int, n_trials: int, seed: int, mode: str, fixed_p):
+    """Summary (estimate, stderr) and every trial's row, one trial at a time.
+
+    An independent copy of the per-trial engine: trial t draws from
+    ``trial_rng(t)`` its p (unless fixed), then one uniform per vertex
+    (site) or edge (bond); a host clique survives iff every event in its
+    bitmask is kept.
+    """
+    cliques = [c for c in combinations(range(G.n), k + 1)
+               if all(v in G.adj[u] for u, v in combinations(c, 2))]
+    if mode == "site":
+        masks, n_events = [sum(1 << v for v in c) for c in cliques], G.n
+    else:
+        edge_id = {e: i for i, e in enumerate(G.edges)}
+        masks = [sum(1 << edge_id[e] for e in combinations(c, 2)) for c in cliques]
+        n_events = len(G.edges)
+    plan = TrialPlan(samples=n_trials, master_seed=seed)
+    total = total_sq = 0
+    rows = []
+    for t in range(n_trials):
+        rng = plan.trial_rng(t)
+        p = fixed_p if fixed_p is not None else float(rng.random())
+        kept = sum(1 << int(i) for i, r in enumerate(rng.random(n_events)) if r < p)
+        s = sum(1 for m in masks if m & kept == m)
+        total += s
+        total_sq += s * s
+        row = {"trial": t, "ratio": s / len(masks)}
+        if fixed_p is None:
+            row["p"] = p
+        rows.append(row)
+    mean, se = mean_and_stderr(total, total_sq, n_trials)
+    return mean / len(masks), None if se is None else se / len(masks), rows
+
+
+def row_items(rows):
+    return [list(r.items()) for r in rows]
+
+
+ENGINE_HOSTS = {
+    "icosahedron": (icosahedron(), 1000),
+    "K6": (complete_graph(6), 300),
+    "path5": (path_graph(5), 300),
+    # vertex 9 is isolated
+    "er_isolated": (Graph.from_edges(10, erdos_renyi(9, 0.55, seed=6).edges), 300),
+}
+
+
+class TestEngineAgainstReference:
+    """clique_survival_integral equals the per-trial reference exactly."""
+
+    @pytest.mark.parametrize("fixed_p", [None, 0.0, 0.37, 1.0])
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("host", sorted(ENGINE_HOSTS))
+    def test_summary_and_rows(self, host, mode, fixed_p):
+        G, n_trials = ENGINE_HOSTS[host]
+        ks = [k for k in range(4) if vk(G, k) > 0]
+        assert 0 in ks  # bond k=0: a clique that needs no event
+        for k in ks:
+            estimate, stderr, rows = reference_survival(G, k, n_trials, 17 + k, mode, fixed_p)
+            for row_limit in (0, 7, n_trials):
+                rep = clique_survival_integral(G, k, n_trials, seed=17 + k, mode=mode,
+                                               fixed_p=fixed_p, row_limit=row_limit)
+                s = rep.summary
+                assert (s.estimate, s.stderr, s.host_count) == (estimate, stderr, vk(G, k)), (k, row_limit)
+                assert row_items(rep.rows) == row_items(rows[:row_limit]), (k, row_limit)
+
+    @pytest.mark.parametrize("mode,k", [("site", 2), ("bond", 1)])
+    def test_benchmark_cases(self, mode, k):
+        """The benchmark's icosahedron runs, long enough to span several blocks."""
+        estimate, stderr, _ = reference_survival(icosahedron(), k, 4000, 3, mode, None)
+        s = clique_survival_integral(icosahedron(), k, 4000, seed=3, mode=mode).summary
+        assert (s.estimate, s.stderr) == (estimate, stderr)
+
+    def test_block_and_chunk_size_invariance(self, monkeypatch):
+        cases = [(name, mode, k, fixed_p)
+                 for name in sorted(ENGINE_HOSTS) for mode in MODES for k in (0, 1, 2)
+                 for fixed_p in (None, 0.37) if vk(ENGINE_HOSTS[name][0], k) > 0]
+
+        def run_all():
+            out = []
+            for name, mode, k, fixed_p in cases:
+                G, _ = ENGINE_HOSTS[name]
+                rep = clique_survival_integral(G, k, 60, seed=5, mode=mode, fixed_p=fixed_p,
+                                               row_limit=20)
+                out.append((rep.summary, row_items(rep.rows)))
+            return out
+
+        base = run_all()
+        monkeypatch.setattr(trials, "CHUNK_TRIALS", 7)
+        # A budget of one byte makes every block a single trial.
+        monkeypatch.setattr(percolation, "_BLOCK_BYTES", 1, raising=False)
+        assert run_all() == base

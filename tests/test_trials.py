@@ -2,6 +2,9 @@
 
 import pytest
 
+from graphcurvature.expectation import mc_index_expectation
+from graphcurvature.graphs import icosahedron, octahedron
+from graphcurvature.percolation import clique_survival_integral
 from graphcurvature.trials import DEFAULT_SEED, TrialPlan, mean_and_stderr, sum_vectors
 
 
@@ -51,6 +54,34 @@ class TestMapReduce:
         for w in (2, 5, 13):
             plan = TrialPlan(samples=5000, master_seed=11, workers=w)
             assert plan.map_reduce(run_chunk, sum_vectors) == base
+
+
+class TestOneStreamPerTrial:
+    """Each Monte Carlo trial builds exactly one generator from its (seed, t)."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        calls = []
+        trial_rng = TrialPlan.trial_rng
+
+        def counted(plan, t):
+            calls.append(t)
+            return trial_rng(plan, t)
+
+        monkeypatch.setattr(TrialPlan, "trial_rng", counted)
+        return calls
+
+    @pytest.mark.parametrize("row_limit", [0, 9, 300])
+    @pytest.mark.parametrize("mode,fixed_p", [("site", None), ("bond", None), ("site", 0.5)])
+    def test_clique_survival(self, seen, mode, fixed_p, row_limit):
+        clique_survival_integral(icosahedron(), 1, 250, seed=4, mode=mode, fixed_p=fixed_p,
+                                 row_limit=row_limit)
+        rows = min(row_limit, 250)
+        assert sorted(seen) == sorted([*range(250), *range(rows)])
+
+    def test_index_expectation(self, seen):
+        mc_index_expectation(octahedron(), TrialPlan(samples=333, master_seed=4))
+        assert sorted(seen) == list(range(333))
 
 
 class TestMeanStderr:
