@@ -27,6 +27,7 @@ from .graphs import Graph
 from .trials import DEFAULT_SEED, TrialPlan, mean_and_stderr, sum_vectors
 
 MODES = ("site", "bond")
+_BLOCK_BYTES = 1 << 18  # budget for one block's uniforms, kept flags and gathered events
 
 
 def survival_exponent(k: int, mode: str) -> int:
@@ -63,23 +64,25 @@ def exact_survival_polynomial(G: Graph, k: int, mode: str = "site") -> SurvivalP
     return SurvivalPolynomial(k=k, mode=mode, coefficient=vk, exponent=exponent)
 
 
-def _clique_event_masks(G: Graph, k: int, mode: str) -> tuple[list[int], int]:
-    """Per-clique bitmasks of required keep events, and the event count.
+def _clique_events(G: Graph, k: int, mode: str) -> np.ndarray:
+    """The keep events each host (k+1)-clique needs, one row per clique.
 
-    Site events are vertices; bond events are edge indices into G.edges.
-    A host clique survives decimation iff its whole event mask is kept,
-    which is exactly v_k of the decimated graph since decimation cannot
-    create cliques.
+    Site events are vertex ids; bond events are edge ids into G.edges. A
+    host clique survives decimation iff all of its events are kept, which
+    is exactly v_k of the decimated graph since decimation cannot create
+    cliques.
     """
-    vertex_masks = cliques_of_size(G, k + 1)
-    if mode == "site":
-        return vertex_masks, G.n
-    edge_index = {e: i for i, e in enumerate(G.edges)}
-    masks = []
-    for cm in vertex_masks:
-        verts = [i for i in range(G.n) if cm >> i & 1]
-        masks.append(sum(1 << edge_index[e] for e in combinations(verts, 2)))
-    return masks, len(G.edges)
+    cliques = []
+    for m in cliques_of_size(G, k + 1):
+        verts = []
+        while m:
+            verts.append((m & -m).bit_length() - 1)
+            m &= m - 1
+        cliques.append(verts)
+    if mode == "bond":
+        edge_index = {e: i for i, e in enumerate(G.edges)}
+        cliques = [[edge_index[e] for e in combinations(c, 2)] for c in cliques]
+    return np.array(cliques, dtype=np.intp).reshape(len(cliques), survival_exponent(k, mode))
 
 
 @dataclass(frozen=True)
@@ -96,7 +99,6 @@ class SurvivalEstimate:
     master_seed: int
 
     def to_json_dict(self) -> dict:
-        exact = self.exact
         return {
             "mode": self.mode,
             "k": self.k,
@@ -104,7 +106,7 @@ class SurvivalEstimate:
             "host_count": self.host_count,
             "estimate": self.estimate,
             "stderr": self.stderr,
-            "exact": str(exact) if isinstance(exact, Fraction) else exact,
+            "exact": str(self.exact) if isinstance(self.exact, Fraction) else self.exact,
             "master_seed": self.master_seed,
         }
 
@@ -133,9 +135,10 @@ def clique_survival_integral(
     Each trial draws p uniformly in [0,1] (or uses ``fixed_p``), decimates,
     and counts the fraction of host cliques that survive. Trial t consumes
     only the (seed, t) stream: the p draw first when p is random, then one
-    uniform per vertex or edge. Totals are exact integers, so the result is
-    identical for any worker count. The exact column is 1/(exponent+1)
-    when p is random and p^exponent at a fixed p.
+    uniform per vertex or edge, into one row of a block of trials whose
+    survivors numpy counts at once. Totals are exact integers, so the result
+    is identical for any worker count, chunking or block size. The exact
+    column is 1/(exponent+1) when p is random and p^exponent at a fixed p.
 
     ``row_limit`` includes per-trial rows for the first trials in the
     report, for inspection or CSV output; it must not be negative.
@@ -147,53 +150,47 @@ def clique_survival_integral(
         raise ValueError(f"keep probability must lie in [0, 1], got {fixed_p}")
     if row_limit < 0:
         raise ValueError(f"row limit must be nonnegative, got {row_limit}")
-    masks, n_events = _clique_event_masks(G, k, mode)
-    vk = len(masks)
+    events = _clique_events(G, k, mode)
+    vk = len(events)
     if vk == 0:
         raise ValueError(f"host graph has no {k}-simplices to decimate")
     plan = TrialPlan(samples=trials, master_seed=seed, workers=workers)
-    row_limit = min(row_limit, trials)
+    n_events = G.n if mode == "site" else len(G.edges)
+    block = max(1, min(trials, _BLOCK_BYTES // (9 * n_events + vk * (exponent + 1))))
+    uniforms = np.empty((block, n_events))
+    p = np.full(block, 0.0 if fixed_p is None else fixed_p)
 
-    def simulate(t: int) -> tuple[float, int]:
-        """(p, survivor count) for trial t, reproducible from the plan."""
-        rng = plan.trial_rng(t)
-        p = fixed_p if fixed_p is not None else float(rng.random())
-        r = rng.random(n_events)
-        kept = 0
-        for i in np.flatnonzero(r < p):
-            kept |= 1 << int(i)
-        return p, sum(1 for cm in masks if cm & kept == cm)
+    def blocks(ts: range):
+        """(p, survivor counts) of each block of the trials ts, in order; the
+        p array is a view that the next block overwrites."""
+        for lo in range(ts.start, ts.stop, block):
+            size = min(block, ts.stop - lo)
+            for i in range(size):
+                rng = plan.trial_rng(lo + i)
+                if fixed_p is None:
+                    p[i] = rng.random()
+                rng.random(out=uniforms[i])
+            kept = uniforms[:size] < p[:size, None]
+            yield p[:size], kept[:, events].all(axis=2).sum(axis=1)
 
     def run_chunk(chunk: range) -> tuple[int, ...]:
-        s_sum = 0
-        s_sq = 0
-        for t in chunk:
-            _, s = simulate(t)
-            s_sum += s
-            s_sq += s * s
-        return (s_sum, s_sq)
+        counts = np.concatenate([s for _, s in blocks(chunk)]).tolist()
+        return (sum(counts), sum(s * s for s in counts))
 
     s_sum, s_sq = plan.map_reduce(run_chunk, sum_vectors)
     mean_count, se_count = mean_and_stderr(s_sum, s_sq, trials)
-    exact: Fraction | float
-    exact = Fraction(1, exponent + 1) if fixed_p is None else fixed_p**exponent
+    exact: Fraction | float = Fraction(1, exponent + 1) if fixed_p is None else fixed_p**exponent
     summary = SurvivalEstimate(
-        mode=mode,
-        k=k,
-        trials=trials,
-        host_count=vk,
-        estimate=mean_count / vk,
-        stderr=None if se_count is None else se_count / vk,
-        exact=exact,
-        master_seed=seed,
+        mode=mode, k=k, trials=trials, host_count=vk, estimate=mean_count / vk,
+        stderr=None if se_count is None else se_count / vk, exact=exact, master_seed=seed,
     )
     rows = []
-    for t in range(row_limit):
-        p, s = simulate(t)
-        row: dict = {"trial": t, "ratio": s / vk}
-        if fixed_p is None:
-            row["p"] = p
-        rows.append(row)
+    for ps, s in blocks(range(min(row_limit, trials))):
+        for pt, st in zip(ps.tolist(), s.tolist()):
+            row: dict = {"trial": len(rows), "ratio": st / vk}
+            if fixed_p is None:
+                row["p"] = pt
+            rows.append(row)
     return SurvivalReport(summary=summary, rows=tuple(rows))
 
 
