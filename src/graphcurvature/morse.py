@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -201,27 +202,30 @@ class IndexCalculator:
         plus = (count_cliques_in_mask(masks, full ^ below) + pad)[:len(total)]
         return minus, plus, tuple(t - m - p for t, m, p in zip(total, minus, plus))
 
+    @cached_property
+    def fvec(self) -> tuple[int, ...]:
+        """The graph's f-vector, counted once per calculator."""
+        return count_cliques(self.G)
+
+    def intermediate_checks(self, order: Sequence[int]) -> tuple[IdentityCheck, ...]:
+        """Check sum_x W_k(x) = k * v_{k+1} for one order, all k.
+
+        W_k(x) counts (k+1)-cliques in S(x) with vertices on both sides of x.
+        W_0 is identically zero, matching the k=0 right-hand side.
+        """
+        ranks, fvec = validate_order(order, self.G.n), self.fvec
+        kmax = max(len(fvec) - 1, 1)
+        lhs = [0] * kmax
+        for x in range(self.G.n):
+            for k, w in enumerate(self.clique_split(ranks, x)[2]):
+                lhs[k] += w
+        rhs = [k * (fvec[k + 1] if k + 1 < len(fvec) else 0) for k in range(kmax)]
+        return tuple(IdentityCheck(k, lhs[k], rhs[k], lhs[k] == rhs[k]) for k in range(kmax))
+
 
 def verify_intermediate_equations(G: Graph, order: Sequence[int]) -> tuple[IdentityCheck, ...]:
-    """Check sum_x W_k(x) = k * v_{k+1} for one fixed order, all k.
-
-    W_k(x) counts (k+1)-cliques in S(x) with vertices on both sides of x.
-    W_0 is identically zero, matching the k=0 right-hand side.
-    """
-    ranks = validate_order(order, G.n)
-    calc = IndexCalculator(G)
-    fvec = count_cliques(G)
-    kmax = max(len(fvec) - 1, 1)
-    lhs = [0] * kmax
-    for x in range(G.n):
-        _, _, mixed = calc.clique_split(ranks, x)
-        for k, w in enumerate(mixed):
-            lhs[k] += w
-    checks = []
-    for k in range(kmax):
-        rhs = k * (fvec[k + 1] if k + 1 < len(fvec) else 0)
-        checks.append(IdentityCheck(k, lhs[k], rhs, lhs[k] == rhs))
-    return tuple(checks)
+    """Check sum_x W_k(x) = k * v_{k+1} for one fixed order, all k."""
+    return IndexCalculator(G).intermediate_checks(order)
 
 
 def transposition_path(start: Sequence[int]) -> Iterator[VertexOrder]:
