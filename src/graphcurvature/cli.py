@@ -457,6 +457,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # parse errors are ValueErrors too
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        source = getattr(args, "graph", None) or f"{args.command} input"
+        print(f"error: {source} is too large for memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -447,3 +447,32 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[1] == "0,1/4"
+
+
+# Lowers the child's own address-space limit, then runs the CLI in it. One
+# BLAS thread keeps numpy's import well inside the limit on any core count.
+LIMITED_MAIN = """
+import resource, sys
+limit = int(sys.argv.pop(1))
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from graphcurvature.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+class TestOversizedInput:
+    def test_out_of_memory_is_usage_error(self, tmp_path):
+        """A header that asks for 2e8 vertices exhausts a 512 MiB address space.
+
+        The input is never run without the limit: unbounded, it would try to
+        allocate tens of gigabytes.
+        """
+        pytest.importorskip("resource")
+        path = tmp_path / "huge.txt"
+        path.write_text("n 200000000\n0 1\n")
+        env = {**CHILD_ENV, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        proc = subprocess.run([sys.executable, "-c", LIMITED_MAIN, str(1 << 29), "chi", str(path)],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == f"error: {path} is too large for memory\n"
+        assert proc.stdout == ""
