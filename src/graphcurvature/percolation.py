@@ -99,6 +99,7 @@ class SurvivalEstimate:
     master_seed: int
 
     def to_json_dict(self) -> dict:
+        exact = self.exact
         return {
             "mode": self.mode,
             "k": self.k,
@@ -106,7 +107,7 @@ class SurvivalEstimate:
             "host_count": self.host_count,
             "estimate": self.estimate,
             "stderr": self.stderr,
-            "exact": str(self.exact) if isinstance(self.exact, Fraction) else self.exact,
+            "exact": str(exact) if isinstance(exact, Fraction) else exact,
             "master_seed": self.master_seed,
         }
 
