@@ -243,23 +243,16 @@ def cmd_percolation(args) -> Output:
     if args.grid is not None:
         return percolation_grid(G, seed, args)
     report = clique_survival_integral(
-        G,
-        args.k,
-        args.trials,
-        seed=seed,
-        mode=args.mode,
-        workers=args.threads,
-        fixed_p=args.fixed_p,
-        row_limit=args.rows,
+        G, args.k, args.trials, seed=seed, mode=args.mode, workers=args.threads,
+        fixed_p=args.fixed_p, row_limit=args.rows,
     )
     s = report.summary
-    exact = s.exact if not isinstance(s.exact, Fraction) else str(s.exact)
     rows = [[r["trial"], r.get("p", args.fixed_p), r["ratio"]] for r in report.rows]
     # The summary rides as a one-field row: it holds no comma or quote, so
     # the CSV writer leaves it unquoted.
     rows.append([
         f"# summary mode={s.mode} k={s.k} trials={s.trials} estimate={s.estimate} "
-        f"stderr={s.stderr} exact={exact}"
+        f"stderr={s.stderr} exact={s.exact}"
     ])
     se = "n/a" if s.stderr is None else f"{s.stderr:.6f}"
     return Output(
@@ -277,12 +270,7 @@ def percolation_grid(G: Graph, seed: int, args) -> Output:
     if args.fixed_p is not None or args.rows:
         raise ValueError("--grid sweeps p itself and reports no trial rows; drop --fixed-p and --rows")
     points = [(i + 0.5) / args.grid for i in range(args.grid)]
-    rows = [
-        {**r, "exact": str(r["exact"]) if isinstance(r["exact"], Fraction) else r["exact"]}
-        for r in survival_grid(
-            G, args.k, args.trials, seed=seed, mode=args.mode, grid=points, workers=args.threads
-        )
-    ]
+    rows = survival_grid(G, args.k, args.trials, seed=seed, mode=args.mode, grid=points, workers=args.threads)
     payload = {"mode": args.mode, "k": args.k, "trials": args.trials, "master_seed": seed, "rows": rows}
     lines = [f"{r['p']:>6.3f}  {r['ratio']:>9.6f}  {r['exact']}" for r in rows]
     return Output(

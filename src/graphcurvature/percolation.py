@@ -121,99 +121,100 @@ class SurvivalReport:
         return {"summary": self.summary.to_json_dict(), "rows": list(self.rows)}
 
 
-def clique_survival_integral(
-    G: Graph,
-    k: int,
-    trials: int,
-    seed: int = DEFAULT_SEED,
-    mode: str = "site",
-    workers: int = 1,
-    fixed_p: float | None = None,
-    row_limit: int = 0,
-) -> SurvivalReport:
-    """Monte Carlo survival ratio of (k+1)-cliques under random decimation.
+def _survival_pass(G: Graph, k: int, trials: int, seed: int, mode: str, workers: int,
+                   grid: Sequence[float] | None, row_limit: int) -> tuple[list[SurvivalEstimate], tuple]:
+    """The summary at each fixed p of ``grid`` (at a p drawn per trial when grid
+    is None) and the first ``row_limit`` trials' rows, all from one pass.
 
-    Each trial draws p uniformly in [0,1] (or uses ``fixed_p``), decimates,
-    and counts the fraction of host cliques that survive. Trial t consumes
-    only the (seed, t) stream: the p draw first when p is random, then one
-    uniform per vertex or edge, into one row of a block of trials whose
-    survivors numpy counts at once. Totals are exact integers, so the result
-    is identical for any worker count, chunking or block size. The exact
-    column is 1/(exponent+1) when p is random and p^exponent at a fixed p.
-
-    ``row_limit`` includes per-trial rows for the first trials in the
-    report, for inspection or CSV output; it must not be negative.
+    Trial t fills one row of uniforms from its (seed, t) generator: p in
+    column 0 when p is drawn, then one uniform per vertex (site) or edge
+    (bond). A host clique survives at p iff the largest of its events'
+    uniforms lies below p, so one gather scores every point of the grid.
     """
     exponent = survival_exponent(k, mode)
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    if fixed_p is not None and not 0.0 <= fixed_p <= 1.0:
-        raise ValueError(f"keep probability must lie in [0, 1], got {fixed_p}")
+    for p in grid or ():
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"keep probability must lie in [0, 1], got {p}")
     if row_limit < 0:
         raise ValueError(f"row limit must be nonnegative, got {row_limit}")
-    events = _clique_events(G, k, mode)
+    drawn = grid is None
+    events = _clique_events(G, k, mode) + drawn  # past the p column when p is drawn
     vk = len(events)
     if vk == 0:
         raise ValueError(f"host graph has no {k}-simplices to decimate")
     plan = TrialPlan(samples=trials, master_seed=seed, workers=workers)
-    n_events = G.n if mode == "site" else len(G.edges)
-    block = max(1, min(trials, _BLOCK_BYTES // (9 * n_events + vk * (exponent + 1))))
-    uniforms = np.empty((block, n_events))
-    p = np.full(block, 0.0 if fixed_p is None else fixed_p)
+    points = 1 if drawn else len(grid)
+    width = drawn + (G.n if mode == "site" else len(G.edges))
+    block = max(1, min(trials, _BLOCK_BYTES // (8 * (width + vk * (exponent + 1)) + points * vk)))
+    uniforms = np.empty((block, width))
+    fixed = None if drawn else np.array(grid, dtype=float)[:, None]
 
-    def blocks(ts: range):
-        """(p, survivor counts) of each block of the trials ts, in order; the
-        p array is a view that the next block overwrites."""
-        for lo in range(ts.start, ts.stop, block):
-            size = min(block, ts.stop - lo)
+    # Survivor sums at each point, their sums of squares, then the chunk's
+    # rows as one tuple, which sum_vectors concatenates in trial order.
+    def run_chunk(chunk: range) -> tuple:
+        moments = [0] * (2 * points)
+        rows = []
+        for lo in range(chunk.start, chunk.stop, block):
+            size = min(block, chunk.stop - lo)
             for i in range(size):
-                rng = plan.trial_rng(lo + i)
-                if fixed_p is None:
-                    p[i] = rng.random()
-                rng.random(out=uniforms[i])
-            kept = uniforms[:size] < p[:size, None]
-            yield p[:size], kept[:, events].all(axis=2).sum(axis=1)
+                plan.trial_rng(lo + i).random(out=uniforms[i])
+            u = uniforms[:size]
+            top = u[:, events].max(axis=2, initial=-np.inf)
+            counts = (top[:, None, :] < (u[:, :1, None] if drawn else fixed)).sum(axis=2)
+            moments = sum_vectors(moments, np.hstack([counts, counts * counts]).sum(axis=0).tolist())
+            for t in range(lo, min(lo + size, row_limit)):
+                row = {"trial": t, "ratio": int(counts[t - lo, 0]) / vk}
+                rows.append({**row, "p": float(u[t - lo, 0])} if drawn else row)
+        return (*moments, tuple(rows))
 
-    def run_chunk(chunk: range) -> tuple[int, ...]:
-        counts = np.concatenate([s for _, s in blocks(chunk)]).tolist()
-        return (sum(counts), sum(s * s for s in counts))
+    *moments, rows = plan.map_reduce(run_chunk, sum_vectors)
+    summaries = []
+    for j, exact in enumerate([Fraction(1, exponent + 1)] if drawn else [p**exponent for p in grid]):
+        mean, se = mean_and_stderr(moments[j], moments[points + j], trials)
+        summaries.append(SurvivalEstimate(
+            mode=mode, k=k, trials=trials, host_count=vk, estimate=mean / vk,
+            stderr=None if se is None else se / vk, exact=exact, master_seed=seed,
+        ))
+    return summaries, rows
 
-    s_sum, s_sq = plan.map_reduce(run_chunk, sum_vectors)
-    mean_count, se_count = mean_and_stderr(s_sum, s_sq, trials)
-    exact: Fraction | float = Fraction(1, exponent + 1) if fixed_p is None else fixed_p**exponent
-    summary = SurvivalEstimate(
-        mode=mode, k=k, trials=trials, host_count=vk, estimate=mean_count / vk,
-        stderr=None if se_count is None else se_count / vk, exact=exact, master_seed=seed,
-    )
-    rows = []
-    for ps, s in blocks(range(min(row_limit, trials))):
-        for pt, st in zip(ps.tolist(), s.tolist()):
-            row: dict = {"trial": len(rows), "ratio": st / vk}
-            if fixed_p is None:
-                row["p"] = pt
-            rows.append(row)
-    return SurvivalReport(summary=summary, rows=tuple(rows))
+
+def clique_survival_integral(
+    G: Graph, k: int, trials: int, seed: int = DEFAULT_SEED, mode: str = "site",
+    workers: int = 1, fixed_p: float | None = None, row_limit: int = 0,
+) -> SurvivalReport:
+    """Monte Carlo survival ratio of (k+1)-cliques under random decimation.
+
+    Each trial draws p uniformly in [0,1] (or uses ``fixed_p``), decimates,
+    and counts the fraction of host cliques that survive. Trial t draws one
+    row of uniforms from its own (seed, t) generator, p first when p is
+    random; the summary and the rows come from those same draws, and totals
+    are exact integers, so nothing depends on worker count, chunking or
+    block size. The exact column is 1/(exponent+1) at random p and
+    p^exponent at a fixed p.
+
+    ``row_limit`` includes per-trial rows for the first trials in the
+    report, for inspection or CSV output; it must not be negative.
+    """
+    grid = None if fixed_p is None else [fixed_p]
+    summaries, rows = _survival_pass(G, k, trials, seed, mode, workers, grid, row_limit)
+    return SurvivalReport(summary=summaries[0], rows=rows)
 
 
 def survival_grid(
-    G: Graph,
-    k: int,
-    trials: int,
-    seed: int = DEFAULT_SEED,
-    mode: str = "site",
-    grid: Sequence[float] = (0.1, 0.3, 0.5, 0.7, 0.9),
-    workers: int = 1,
+    G: Graph, k: int, trials: int, seed: int = DEFAULT_SEED, mode: str = "site",
+    grid: Sequence[float] = (0.1, 0.3, 0.5, 0.7, 0.9), workers: int = 1,
 ) -> tuple[dict, ...]:
     """Mean survival ratio at each p of a grid, one row per grid point.
 
-    All points share the same trial streams (common random numbers), which
-    keeps the sweep deterministic and smooths the sampled curve.
+    One pass draws each trial's uniforms once and scores every point on them
+    (common random numbers), so each row equals the summary of
+    ``clique_survival_integral(..., fixed_p=p)`` at that p.
     """
-    rows = []
-    for p in grid:
-        rep = clique_survival_integral(
-            G, k, trials, seed=seed, mode=mode, workers=workers, fixed_p=float(p)
-        )
-        s = rep.summary
-        rows.append({"p": float(p), "ratio": s.estimate, "stderr": s.stderr, "exact": s.exact})
-    return tuple(rows)
+    points = [float(p) for p in grid]
+    summaries, _ = _survival_pass(G, k, trials, seed, mode, workers, points, 0)
+    return tuple(
+        {"p": p, "ratio": s.estimate, "stderr": s.stderr, "exact": s.exact}
+        for p, s in zip(points, summaries)
+    )

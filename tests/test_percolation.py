@@ -194,6 +194,16 @@ class TestMonteCarlo:
         for r in rows:
             assert abs(r["ratio"] - r["exact"]) <= 4 * r["stderr"]
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_grid_rows_equal_fixed_p_summaries(self, mode):
+        """One pass over every grid point gives each point's own fixed-p run."""
+        grid = (0.0, 0.2, 0.55, 1.0)
+        rows = survival_grid(icosahedron(), 1, 700, seed=19, mode=mode, grid=grid)
+        assert len(rows) == len(grid)
+        for p, row in zip(grid, rows):
+            s = clique_survival_integral(icosahedron(), 1, 700, seed=19, mode=mode, fixed_p=p).summary
+            assert (row["p"], row["ratio"], row["stderr"], row["exact"]) == (p, s.estimate, s.stderr, s.exact)
+
 
 def reference_survival(G: Graph, k: int, n_trials: int, seed: int, mode: str, fixed_p):
     """Summary (estimate, stderr) and every trial's row, one trial at a time.

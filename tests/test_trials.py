@@ -4,7 +4,7 @@ import pytest
 
 from graphcurvature.expectation import mc_index_expectation
 from graphcurvature.graphs import icosahedron, octahedron
-from graphcurvature.percolation import clique_survival_integral
+from graphcurvature.percolation import clique_survival_integral, survival_grid
 from graphcurvature.trials import DEFAULT_SEED, TrialPlan, mean_and_stderr, sum_vectors
 
 
@@ -76,8 +76,13 @@ class TestOneStreamPerTrial:
     def test_clique_survival(self, seen, mode, fixed_p, row_limit):
         clique_survival_integral(icosahedron(), 1, 250, seed=4, mode=mode, fixed_p=fixed_p,
                                  row_limit=row_limit)
-        rows = min(row_limit, 250)
-        assert sorted(seen) == sorted([*range(250), *range(rows)])
+        assert seen == list(range(250))
+
+    @pytest.mark.parametrize("grid", [(0.5,), (0.1, 0.4, 0.6, 0.9)])
+    @pytest.mark.parametrize("mode", ["site", "bond"])
+    def test_survival_grid(self, seen, mode, grid):
+        survival_grid(icosahedron(), 1, 250, seed=4, mode=mode, grid=grid)
+        assert seen == list(range(250))
 
     def test_index_expectation(self, seen):
         mc_index_expectation(octahedron(), TrialPlan(samples=333, master_seed=4))
