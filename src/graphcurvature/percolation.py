@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cliques import cliques_of_size, count_cliques
+from .cliques import cliques_of_size
 from .graphs import Graph
 from .trials import DEFAULT_SEED, TrialPlan, mean_and_stderr, sum_vectors
 
@@ -57,11 +57,15 @@ class SurvivalPolynomial:
 
 
 def exact_survival_polynomial(G: Graph, k: int, mode: str = "site") -> SurvivalPolynomial:
-    """Expected survivor count as an exact polynomial in p, by linearity."""
+    """Expected survivor count as an exact polynomial in p, by linearity.
+
+    The coefficient counts the host cliques in the Monte Carlo engine's own
+    event lists that need exactly ``exponent`` distinct keep events, so
+    checking it against count_cliques checks those lists.
+    """
     exponent = survival_exponent(k, mode)
-    fvec = count_cliques(G)
-    vk = fvec[k] if k < len(fvec) else 0
-    return SurvivalPolynomial(k=k, mode=mode, coefficient=vk, exponent=exponent)
+    hosts = sum(len(set(events)) == exponent for events in _clique_events(G, k, mode).tolist())
+    return SurvivalPolynomial(k=k, mode=mode, coefficient=hosts, exponent=exponent)
 
 
 def _clique_events(G: Graph, k: int, mode: str) -> np.ndarray:

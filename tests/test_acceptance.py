@@ -139,13 +139,18 @@ def test_c07_percolation_statistical():
 
 
 def test_c08_percolation_exact_route(corpus):
-    """Survival polynomial integral over [0,1] equals v_k/(k+2) on every host with v_k > 0."""
+    """Survival polynomial integral over [0,1] equals v_k/(k+2) on every host with v_k > 0.
+
+    The polynomial counts the Monte Carlo engine's host event lists, so this
+    also checks them, in both modes, against the clique enumeration.
+    """
     for name, G in corpus:
         fvec = gc.count_cliques(G)
         for k, vk in enumerate(fvec):
             poly = gc.exact_survival_polynomial(G, k, "site")
             assert poly.integral() == Fraction(vk, k + 2), (name, k)
             assert Fraction(poly.integral(), vk) == Fraction(1, k + 2), (name, k)
+            assert gc.exact_survival_polynomial(G, k, "bond").coefficient == vk, (name, k)
 
 
 def test_c09_mc_expectation_statistical():

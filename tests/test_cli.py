@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import graphcurvature
+from graphcurvature import percolation
 from graphcurvature.cli import main
 from graphcurvature.graphs import cycle_graph, to_edge_list, to_json
 
@@ -297,6 +298,21 @@ def _walk_to_constant_order(fn):
     return lambda start: iter([(0,) * len(start)])
 
 
+def _drop_first_host(fn):
+    """Clique event lists without their first host clique."""
+    return lambda G, k, mode: fn(G, k, mode)[1:]
+
+
+def _repeat_first_event(fn):
+    """Clique event lists whose first host needs its first event twice."""
+    def wrong(G, k, mode):
+        events = fn(G, k, mode).copy()
+        if events.shape[1] > 1:
+            events[0, 1] = events[0, 0]
+        return events
+    return wrong
+
+
 # suite -> (module, attribute, fault, failing row, detail pattern). Each fault
 # breaks one input of one check on the octahedron (f = (6, 12, 8), chi = 2).
 FAULTS = {
@@ -332,6 +348,19 @@ class TestVerifyFailures:
         assert [(r["suite"], r["name"]) for r in failed] == [(suite, name)]
         assert re.match(detail, failed[0]["detail"]), failed[0]["detail"]
         assert payload["summary"] == {**payload["summary"], "failed": 1, "ok": False}
+
+    @pytest.mark.parametrize("fault, detail", [
+        (_drop_first_host, r"failed: \[\(0, 'site'\), \(0, 'site', 'host dependence'\), \(0, 'bond'\)"),
+        (_repeat_first_event, r"failed: \[\(1, 'site'\), \(1, 'site', 'host dependence'\), \(2, 'site'\)"),
+    ], ids=["drop_host", "repeat_event"])
+    def test_exact_row_checks_the_engine_events(self, capsys, monkeypatch, fault, detail):
+        """The :exact row counts the engine's own event lists against count_cliques."""
+        monkeypatch.setattr(percolation, "_clique_events", fault(percolation._clique_events))
+        code, out = run_cli(capsys, "verify", "octahedron", "--suite", "percolation", "--format", "json")
+        assert code == 1
+        failed = [r for r in json.loads(out)["results"] if r["status"] == "FAIL"]
+        assert [r["name"] for r in failed] == ["octahedron:exact"]
+        assert re.match(detail, failed[0]["detail"]), failed[0]["detail"]
 
     def test_human_output_names_the_failure(self, capsys, monkeypatch):
         module, attr, fault, _, _ = FAULTS["transfer"]
