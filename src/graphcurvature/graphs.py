@@ -15,6 +15,11 @@ import numpy as np
 
 VertexSet = tuple[int, ...]
 
+# Graph.from_edges peaks near 460 bytes per isolated vertex (tracemalloc on
+# from_edge_list("n 1000000\n0 1\n")), so a graph at this cap needs about
+# 1.8 GB before any edge; a larger declared count fails before allocating.
+MAX_VERTICES = 4_000_000
+
 
 class EdgeListParseError(ValueError):
     """Raised for malformed edge-list text, with the offending line number."""
@@ -59,6 +64,8 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from undirected edges; duplicates are merged."""
+        if n > MAX_VERTICES:
+            raise ValueError(f"vertex count {n} exceeds the limit MAX_VERTICES = {MAX_VERTICES}")
         nbrs: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):

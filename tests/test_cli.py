@@ -13,7 +13,7 @@ import pytest
 import graphcurvature
 from graphcurvature import percolation
 from graphcurvature.cli import main
-from graphcurvature.graphs import cycle_graph, to_edge_list, to_json
+from graphcurvature.graphs import MAX_VERTICES, cycle_graph, to_edge_list, to_json
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
@@ -489,19 +489,45 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
+# LIMITED_MAIN that also prints how long main() took, after its output.
+TIMED_LIMITED_MAIN = LIMITED_MAIN.replace(
+    "sys.exit(main(sys.argv[1:]))",
+    "import time\nstart = time.perf_counter()\ncode = main(sys.argv[1:])\n"
+    "print(time.perf_counter() - start)\nsys.exit(code)",
+)
+
+
 class TestOversizedInput:
     def test_out_of_memory_is_usage_error(self, tmp_path):
-        """A header that asks for 2e8 vertices exhausts a 512 MiB address space.
+        """A header at the vertex limit asks for about 1.8 GB, which exhausts a
+        512 MiB address space.
 
-        The input is never run without the limit: unbounded, it would try to
-        allocate tens of gigabytes.
+        The input is never run without the limit.
         """
         pytest.importorskip("resource")
         path = tmp_path / "huge.txt"
-        path.write_text("n 200000000\n0 1\n")
+        path.write_text(f"n {MAX_VERTICES}\n0 1\n")
         env = {**CHILD_ENV, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
         proc = subprocess.run([sys.executable, "-c", LIMITED_MAIN, str(1 << 29), "chi", str(path)],
                               capture_output=True, text=True, env=env, timeout=300)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr == f"error: {path} is too large for memory\n"
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("text", ["n 200000000\n0 1\n", '{"n": 200000000, "edges": [[0, 1]]}'],
+                             ids=["edge_list", "json"])
+    def test_vertex_count_over_the_limit_fails_fast(self, tmp_path, text):
+        """A declared count over MAX_VERTICES exits 2 before allocating per vertex.
+
+        The child runs under the same 512 MiB address-space limit, in case
+        the count is not checked.
+        """
+        pytest.importorskip("resource")
+        path = tmp_path / "huge.txt"
+        path.write_text(text)
+        env = {**CHILD_ENV, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        proc = subprocess.run([sys.executable, "-c", TIMED_LIMITED_MAIN, str(1 << 29), "chi", str(path)],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == f"error: vertex count 200000000 exceeds the limit MAX_VERTICES = {MAX_VERTICES}\n"
+        assert float(proc.stdout) < 1.0

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphcurvature.graphs import (
+    MAX_VERTICES,
     EdgeListParseError,
     Graph,
     complete_graph,
@@ -54,6 +55,11 @@ class TestValidation:
     def test_duplicate_edges_deduplicated(self):
         G = Graph.from_edges(2, [(0, 1), (1, 0), (0, 1)])
         assert G.edges == ((0, 1),)
+
+    def test_vertex_count_over_the_cap_rejected(self):
+        # Raised before any per-vertex allocation, so the count costs nothing.
+        with pytest.raises(ValueError, match=f"vertex count {MAX_VERTICES + 1} exceeds the limit"):
+            Graph.from_edges(MAX_VERTICES + 1, [(0, 1)])
 
 
 class TestEdgeList:
