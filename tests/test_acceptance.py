@@ -16,6 +16,7 @@ import pytest
 import graphcurvature as gc
 from graphcurvature.cli import main
 from graphcurvature.corpus import er_corpus, full_corpus
+from graphcurvature.verify import STABILITY_ORDERS, averaging_suite, stability_suite, transfer_suite
 
 
 def elapsed_since(t0: float) -> float:
@@ -87,27 +88,30 @@ def test_c04_known_values(corpus):
         assert all(gc.curvature(K, x) == Fraction(1, n) for x in range(n))
 
 
+def assert_one_passing_row_per_graph(rows, corpus):
+    """Every graph of the corpus has one checked row, and none failed."""
+    checked = [r for r in rows if not r.skipped]
+    assert [r.name for r in checked] == [name for name, _ in corpus]
+    failed = [(r.name, r.detail) for r in rows if not r.ok]
+    assert not failed, failed[:3]
+
+
 def test_c05_appendix_identities(corpus):
     """Transfer and intermediate equations on the corpus; index stability with a transposition walk."""
+    assert_one_passing_row_per_graph(transfer_suite(corpus), corpus)
     for name, G in corpus:
-        assert all(c.equal for c in gc.verify_transfer_equations(G)), name
         rng = np.random.default_rng(202)
         for _ in range(20):
             f = gc.random_order(G.n, rng)
             assert all(r.equal for r in gc.verify_intermediate_equations(G, f)), name
-    for name, G in corpus:
-        # 50 random orders everywhere; the walk always runs and is required for n <= 10
-        assert gc.verify_index_stability(G, trials=50, seed=303), name
+    # 50 random orders everywhere; the walk always runs and is required for n <= 10
+    assert STABILITY_ORDERS == 50
+    assert_one_passing_row_per_graph(stability_suite(corpus, seed=303), corpus)
 
 
 def test_c06_averaging_equation(corpus):
     """E[V_k^-(x)] = V_k(x)/(k+2) exactly for every corpus vertex with deg <= 16."""
-    for name, G in corpus:
-        for x in range(G.n):
-            if G.degree(x) > 16:
-                continue
-            checks = gc.verify_averaging_equation(G, x, degree_cap=16)
-            assert all(c.equal for c in checks), (name, x)
+    assert_one_passing_row_per_graph(averaging_suite(corpus, 16), corpus)
 
 
 def test_c07_percolation_statistical():
