@@ -4,9 +4,9 @@ The central identity verified here: averaging i_f(x) over all injective
 functions f (equivalently, uniform random rank permutations) gives the
 curvature K(x). Three independent routes are implemented:
 
-  exact_index_expectation      subset sums over the unit sphere, 2^deg work
-  expectation_by_all_orders    brute force over all n! orders
-  mc_index_expectation         seeded Monte Carlo with standard errors
+  exact_index_expectation            subset sums over the unit sphere, 2^deg work
+  exact_expectation_by_permutations  brute force over all n! orders
+  mc_index_expectation               seeded Monte Carlo with standard errors
 
 Only the relative order of function values matters for every index, so
 uniform random rank permutations realize the uniform measure on injective

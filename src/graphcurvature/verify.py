@@ -183,8 +183,10 @@ def percolation_suite(graphs: Sequence[NamedGraph], seed: int = DEFAULT_SEED) ->
     """Exact survival integrals, plus a short Monte Carlo sanity run.
 
     For every k <= PERCOLATION_MAX_K with v_k > 0 the polynomial route must
-    integrate to v_k/(exponent+1) in both modes. One modest site run at k=1
-    is checked against 1/3 within six standard errors.
+    integrate to v_k/(exponent+1) in both modes; its coefficient counts the
+    Monte Carlo engine's event lists, so this checks them against
+    count_cliques. One modest site run at k=1 is checked against 1/3 within
+    six standard errors.
     """
     def check(G):
         fvec = count_cliques(G)
