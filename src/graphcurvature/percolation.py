@@ -27,7 +27,7 @@ from .graphs import Graph
 from .trials import DEFAULT_SEED, TrialPlan, mean_and_stderr, sum_vectors
 
 MODES = ("site", "bond")
-_BLOCK_BYTES = 1 << 18  # budget for one block's uniforms, kept flags and gathered events
+_BLOCK_BYTES = 1 << 18  # budget for one block's uniforms, gathered event uniforms and survival flags
 
 
 def survival_exponent(k: int, mode: str) -> int:
@@ -144,7 +144,7 @@ def _survival_pass(G: Graph, k: int, trials: int, seed: int, mode: str, workers:
     if row_limit < 0:
         raise ValueError(f"row limit must be nonnegative, got {row_limit}")
     drawn = grid is None
-    events = _clique_events(G, k, mode) + drawn  # past the p column when p is drawn
+    events = _clique_events(G, k, mode) + drawn  # shifted past the p column when p is drawn
     vk = len(events)
     if vk == 0:
         raise ValueError(f"host graph has no {k}-simplices to decimate")
