@@ -427,6 +427,18 @@ class TestSeedEnv:
         assert code == 2 and captured.out == ""
         assert captured.err == "error: DISCRETE_GB_SEED must be an integer, got 'abc'\n"
 
+    @pytest.mark.parametrize("argv", [
+        ("expectation", "icosahedron", "--samples", "10"),
+        ("percolation", "icosahedron", "--k", "1", "--trials", "10"),
+        ("verify", "icosahedron"),
+        ("verify", "icosahedron", "--suite", "percolation"),
+    ], ids=["expectation", "percolation", "verify", "verify_percolation"])
+    def test_negative_seed_is_usage_error(self, capsys, argv):
+        code = main([*argv, "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: expected non-negative integer\n"
+
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 

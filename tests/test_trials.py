@@ -1,5 +1,6 @@
 """Trial plans: seed derivation, chunking, and order-independent reduction."""
 
+import numpy as np
 import pytest
 
 from graphcurvature.expectation import mc_index_expectation
@@ -24,6 +25,31 @@ class TestTrialRng:
         x = TrialPlan(samples=1, master_seed=1).trial_rng(0).random()
         y = TrialPlan(samples=1, master_seed=2).trial_rng(0).random()
         assert x != y
+
+
+class TestSeedSequenceOracle:
+    """trial_rng(t) is numpy's default_rng(SeedSequence((master_seed, t))), bit for bit.
+
+    The seeds span one to five 32-bit words and the trial indices cross
+    block edges and the 32-bit boundary, where t gains a second word.
+    """
+
+    SEEDS = (0, 1, DEFAULT_SEED, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 3)
+    TRIALS = (0, 1, 4095, 4096, 4097, 2**32 - 1, 2**32, 2**32 + 4097)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_state_and_draws_equal_seed_sequence(self, seed):
+        plan = TrialPlan(samples=1, master_seed=seed)
+        for t in self.TRIALS:
+            got = plan.trial_rng(t)
+            want = np.random.default_rng(np.random.SeedSequence((seed, t)))
+            assert got.bit_generator.state == want.bit_generator.state, (seed, t)
+            assert got.random(8).tolist() == want.random(8).tolist(), (seed, t)
+
+    @pytest.mark.parametrize("seed,t", [(-1, 0), (0, -1), (-(2**40), 5), (3, -(2**40))])
+    def test_negative_seed_or_trial_is_rejected(self, seed, t):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            TrialPlan(samples=1, master_seed=seed).trial_rng(t)
 
 
 class TestChunks:
