@@ -265,7 +265,7 @@ def mc_index_expectation(
     def run_chunk(trials: range) -> tuple[int, ...]:
         acc = [0] * (2 * nt)
         for t in trials:
-            order = tuple(int(r) for r in plan.trial_rng(t).permutation(G.n))
+            order = tuple(plan.trial_rng(t).permutation(G.n).tolist())
             for j, x in enumerate(targets):
                 i = calc.index(order, x)
                 acc[2 * j] += i
