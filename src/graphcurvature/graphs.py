@@ -21,6 +21,11 @@ VertexSet = tuple[int, ...]
 MAX_VERTICES = 4_000_000
 
 
+def _check_vertex_count(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count {n} exceeds the limit MAX_VERTICES = {MAX_VERTICES}")
+
+
 class EdgeListParseError(ValueError):
     """Raised for malformed edge-list text, with the offending line number."""
 
@@ -64,8 +69,7 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from undirected edges; duplicates are merged."""
-        if n > MAX_VERTICES:
-            raise ValueError(f"vertex count {n} exceeds the limit MAX_VERTICES = {MAX_VERTICES}")
+        _check_vertex_count(n)
         nbrs: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -344,6 +348,8 @@ def generate(kind: str, n: int | None = None, q: float | None = None,
     def need(name: str):
         if params[name] is None:
             raise ValueError(f"generator {kind!r} needs {name}")
+        if name == "n":
+            _check_vertex_count(n)  # before the generator builds O(n) edges
         return params[name]
 
     return _GENERATORS[kind](need, seed)

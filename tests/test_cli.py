@@ -543,3 +543,16 @@ class TestOversizedInput:
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr == f"error: vertex count 200000000 exceeds the limit MAX_VERTICES = {MAX_VERTICES}\n"
         assert float(proc.stdout) < 1.0
+
+    def test_generator_spec_over_the_limit_fails_fast(self):
+        """A generator's n over MAX_VERTICES exits 2 before any edge is listed.
+
+        Same 512 MiB address-space limit, in case n is not checked first.
+        """
+        pytest.importorskip("resource")
+        env = {**CHILD_ENV, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        proc = subprocess.run([sys.executable, "-c", TIMED_LIMITED_MAIN, str(1 << 29), "chi", "path:n=300000000"],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == f"error: vertex count 300000000 exceeds the limit MAX_VERTICES = {MAX_VERTICES}\n"
+        assert float(proc.stdout) < 1.0

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphcurvature import graphs
 from graphcurvature.graphs import (
     MAX_VERTICES,
     EdgeListParseError,
@@ -60,6 +61,14 @@ class TestValidation:
         # Raised before any per-vertex allocation, so the count costs nothing.
         with pytest.raises(ValueError, match=f"vertex count {MAX_VERTICES + 1} exceeds the limit"):
             Graph.from_edges(MAX_VERTICES + 1, [(0, 1)])
+
+    @pytest.mark.parametrize("kind", ["cycle", "path", "complete", "star", "tree_random", "erdos_renyi"])
+    def test_generator_vertex_count_over_the_cap_rejected(self, kind, monkeypatch):
+        # Checked before the generator lists any edge or draws any number.
+        for name in ("cycle_graph", "path_graph", "complete_graph", "star_graph", "random_tree", "erdos_renyi"):
+            monkeypatch.setattr(graphs, name, lambda *args: pytest.fail("the generator ran"))
+        with pytest.raises(ValueError, match=f"vertex count {MAX_VERTICES + 1} exceeds the limit"):
+            generate(kind, n=MAX_VERTICES + 1, q=0.5)
 
 
 class TestEdgeList:
