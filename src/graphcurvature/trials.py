@@ -137,7 +137,9 @@ def _seed_block(master_seed: int, block: int) -> np.ndarray:
     b = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL + 1)
     out = (np.tile(pool, (2, 1)) ^ b[:-1]) * b[1:]
     out = (out ^ (out >> 16)).astype(np.uint64)
-    return np.ascontiguousarray((out[0::2] | out[1::2] << np.uint64(32)).T)
+    seeds = np.ascontiguousarray((out[0::2] | out[1::2] << np.uint64(32)).T)
+    seeds.flags.writeable = False  # the cache hands the same array to every caller
+    return seeds
 
 
 @lru_cache(maxsize=None)
@@ -156,9 +158,7 @@ def _seed_row_class() -> type:
             self.state = state
 
         def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-            if n_words != 4 or dtype is not np.uint64:
-                raise ValueError("a seed block row holds exactly the four uint64 words PCG64 asks for")
-            return self.state
+            return self.state  # PCG64 asks only for generate_state(4, np.uint64)
 
     return SeedRow
 
