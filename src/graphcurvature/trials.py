@@ -88,19 +88,23 @@ def _words(n: int) -> list[int]:
 
 
 def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
-    """The running hash constants init * mult**i mod 2**32, i < count, as a column."""
+    """The running hash constants init * mult**i mod 2**32 for i < count."""
     out = [init]
     for _ in range(count - 1):
         out.append(out[-1] * mult & _MASK32)
-    return np.array(out, dtype=np.uint32)[:, None]
+    return np.array(out, dtype=np.uint32)
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r = x * _MIX_L - y * _MIX_R
-    return r ^ (r >> 16)
+    """SeedSequence's mix(x, y), computed in place in x and y."""
+    x *= _MIX_L
+    y *= _MIX_R
+    x -= y
+    x ^= x >> 16
+    return x
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=2)
 def _seed_block(master_seed: int, block: int) -> np.ndarray:
     """PCG64 seeds of trials ``block * SEED_BLOCK`` onwards, one uint64[4] row each.
 
@@ -115,15 +119,17 @@ def _seed_block(master_seed: int, block: int) -> np.ndarray:
     entropy = np.repeat(np.array(words + [0] * (_POOL - len(words)), dtype=np.uint32)[:, None],
                         SEED_BLOCK, axis=1)
     entropy[len(seed_words)] += np.arange(SEED_BLOCK, dtype=np.uint32)  # t's lowest word
-    mult = _hash_constants(_INIT_A, _MULT_A, 4 * len(entropy) + 1)
+    mult = _hash_constants(_INIT_A, _MULT_A, 4 * len(entropy) + 1)[:, None]
     used = 0
 
     def hashmix(value: np.ndarray, count: int) -> np.ndarray:
         """``count`` successive hashmix calls of SeedSequence, one per row."""
         nonlocal used
-        h = (value ^ mult[used:used + count]) * mult[used + 1:used + count + 1]
+        h = value ^ mult[used:used + count]
+        h *= mult[used + 1:used + count + 1]
+        h ^= h >> 16
         used += count
-        return h ^ (h >> 16)
+        return h
 
     # mix_entropy: hash the first words into the pool, mix every pool word
     # into every other, then fold in any words beyond the pool.
@@ -133,11 +139,16 @@ def _seed_block(master_seed: int, block: int) -> np.ndarray:
         pool[dst] = _mix(pool[dst], hashmix(pool[src], _POOL - 1))
     for word in entropy[_POOL:]:
         pool = _mix(pool, hashmix(word, _POOL))
-    # generate_state(4, uint64): eight hashed words, paired little-endian.
+    # generate_state(4, uint64): eight hashed words per trial, one trial a
+    # row, read as four little-endian uint64 words as numpy reads them.
     b = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL + 1)
-    out = (np.tile(pool, (2, 1)) ^ b[:-1]) * b[1:]
-    out = (out ^ (out >> 16)).astype(np.uint64)
-    seeds = np.ascontiguousarray((out[0::2] | out[1::2] << np.uint64(32)).T)
+    out = np.empty((SEED_BLOCK, 2 * _POOL), dtype="<u4")
+    for i in range(2 * _POOL):
+        h = pool[i % _POOL] ^ b[i]
+        h *= b[i + 1]
+        h ^= h >> 16
+        out[:, i] = h
+    seeds = out.view("<u8").astype(np.uint64, copy=False)
     seeds.flags.writeable = False  # the cache hands the same array to every caller
     return seeds
 
