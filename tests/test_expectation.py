@@ -4,6 +4,7 @@ import time
 from fractions import Fraction
 from math import comb, factorial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from graphcurvature.cliques import (
     euler_characteristic,
     vertex_clique_degrees,
 )
+from graphcurvature import expectation, morse, trials
 from graphcurvature.corpus import base_corpus
 from graphcurvature.curvature import curvature
 from graphcurvature.expectation import (
@@ -36,7 +38,7 @@ from graphcurvature.graphs import (
     star_graph,
 )
 from graphcurvature.morse import IndexCalculator, all_orders
-from graphcurvature.trials import TrialPlan
+from graphcurvature.trials import TrialPlan, mean_and_stderr
 
 
 class TestExactOracle:
@@ -291,3 +293,75 @@ class TestMonteCarlo:
         row = payload["rows"][0]
         assert set(row) == {"vertex", "samples", "estimate", "stderr", "exact", "curvature"}
         assert row["exact"] == "1/2" and row["curvature"] == "1/2"
+
+
+def reference_expectation(G, samples, seed, vertices):
+    """(estimate, stderr) per target, one trial and one vertex at a time.
+
+    An independent copy of the engine: trial t ranks the vertices by
+    ``default_rng(SeedSequence((seed, t))).permutation(n)`` and each index
+    comes from the module-level ``morse.index``, which rebuilds the exit
+    subgraph and counts its cliques afresh.
+    """
+    targets = range(G.n) if vertices is None else vertices
+    sums = [0] * len(targets)
+    squares = [0] * len(targets)
+    for t in range(samples):
+        order = np.random.default_rng(np.random.SeedSequence((seed, t))).permutation(G.n).tolist()
+        for j, x in enumerate(targets):
+            i = morse.index(G, order, x)
+            sums[j] += i
+            squares[j] += i * i
+    return [mean_and_stderr(s, q, samples) for s, q in zip(sums, squares)]
+
+
+ENGINE_HOSTS = {
+    "icosahedron": icosahedron(),
+    "C6": cycle_graph(6),
+    "P5": path_graph(5),
+    # vertex 9 is isolated
+    "er_isolated": Graph.from_edges(10, erdos_renyi(9, 0.55, seed=6).edges),
+}
+
+
+def vertex_lists(G):
+    """All vertices, a subset led by the last vertex, none, and a repeat."""
+    return {"all": None, "subset": (G.n - 1, 0, 2), "none": (), "repeated": (1, 0, 1)}
+
+
+def estimates(G, samples, seed, vertices):
+    rep = mc_index_expectation(G, TrialPlan(samples=samples, master_seed=seed), vertices=vertices)
+    return [(r.estimate, r.stderr) for r in rep.rows]
+
+
+class TestEngineAgainstReference:
+    """mc_index_expectation equals the per-trial reference exactly."""
+
+    @pytest.mark.parametrize("samples", [1, 2, 150])
+    @pytest.mark.parametrize("which", ["all", "subset", "none", "repeated"])
+    @pytest.mark.parametrize("host", sorted(ENGINE_HOSTS))
+    def test_estimate_and_stderr(self, host, which, samples):
+        G = ENGINE_HOSTS[host]
+        vertices = vertex_lists(G)[which]
+        want = reference_expectation(G, samples, 29, vertices)
+        assert estimates(G, samples, 29, vertices) == want
+
+    # A budget of 1 index value holds one trial per block. A budget of 25
+    # holds 2 trials of 12 or 10 targets, 4 of 6, 5 of 5 and 8 of 3: no
+    # block size divides the chunk of 7.
+    @pytest.mark.parametrize("budget", [1, 25])
+    def test_chunk_and_block_invariance(self, monkeypatch, budget):
+        monkeypatch.setattr(trials, "CHUNK_TRIALS", 7)
+        monkeypatch.setattr(expectation, "_BLOCK_INDICES", budget, raising=False)
+        for host, G in sorted(ENGINE_HOSTS.items()):
+            for which, vertices in vertex_lists(G).items():
+                want = reference_expectation(G, 40, 8, vertices)
+                assert estimates(G, 40, 8, vertices) == want, (host, which)
+
+    @pytest.mark.parametrize("n", [1, 2, 12, 100, 1000])
+    def test_list_shuffle_equals_permutation(self, n):
+        """Shuffling a list draws the same Fisher-Yates swaps as permutation(n)."""
+        for seed in range(5):
+            shuffled = list(range(n))
+            np.random.default_rng(seed).shuffle(shuffled)
+            assert shuffled == np.random.default_rng(seed).permutation(n).tolist(), seed

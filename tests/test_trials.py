@@ -5,6 +5,7 @@ import pytest
 
 from graphcurvature.expectation import mc_index_expectation
 from graphcurvature.graphs import icosahedron, octahedron
+from graphcurvature.morse import IndexCalculator
 from graphcurvature.percolation import clique_survival_integral, survival_grid
 from graphcurvature.trials import DEFAULT_SEED, TrialPlan, mean_and_stderr, sum_vectors
 
@@ -110,9 +111,21 @@ class TestOneStreamPerTrial:
         survival_grid(icosahedron(), 1, 250, seed=4, mode=mode, grid=grid)
         assert seen == list(range(250))
 
-    def test_index_expectation(self, seen):
-        mc_index_expectation(octahedron(), TrialPlan(samples=333, master_seed=4))
-        assert sorted(seen) == list(range(333))
+    @pytest.mark.parametrize("vertices", [None, (5, 0, 5)])
+    def test_index_expectation(self, seen, monkeypatch, vertices):
+        """One generator per trial, in trial order, and one index call per target."""
+        calls = []
+        index = IndexCalculator.index
+
+        def counted(calc, order, x):
+            calls.append(x)
+            return index(calc, order, x)
+
+        monkeypatch.setattr(IndexCalculator, "index", counted)
+        mc_index_expectation(octahedron(), TrialPlan(samples=333, master_seed=4), vertices=vertices)
+        assert seen == list(range(333))
+        targets = list(range(6)) if vertices is None else list(vertices)
+        assert calls == targets * 333
 
 
 class TestMeanStderr:
