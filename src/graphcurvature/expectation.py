@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -38,6 +39,10 @@ class DegreeCapError(ValueError):
 # Memory sets the lower limit used: the tables take about 13 bytes per
 # subset, so degree 24 needs about 220 MB and degree 30 would need 14 GB.
 MAX_SUBSET_DEGREE = 24
+
+# Index values a Monte Carlo block holds before folding them into its moments,
+# so the rows kept per block stay small however many targets there are.
+_BLOCK_INDICES = 1 << 12
 
 # Subsets per numpy call. Gathers and np.add.at widen their operands to
 # int64 first, and chunks keep those copies small beside the int32 tables.
@@ -252,24 +257,33 @@ def mc_index_expectation(
 ) -> ExpectationReport:
     """Estimate E[i_f(x)] by sampling uniform rank permutations.
 
-    Trial t draws its permutation from the (master_seed, t) stream, so the
-    report is byte-identical for any worker count. Each row carries the
-    sample mean, its standard error, and the curvature it should match.
+    Trial t shuffles the list 0..n-1 with its (master_seed, t) generator,
+    which gives the ranks ``permutation(n)`` would, and evaluates one index
+    per target. The indices of a block of trials, ``_BLOCK_INDICES`` values
+    at most, are folded into exact integer sums and sums of squares, so the
+    report is byte-identical for any worker count, chunk or block size.
+    Each row carries the sample mean, its standard error, and the curvature
+    it should match.
     """
     targets = tuple(range(G.n)) if vertices is None else tuple(vertices)
     for x in targets:
         G._check_vertex(x)
-    calc = IndexCalculator(G)
+    index = IndexCalculator(G).index
     nt = len(targets)
+    block = max(1, _BLOCK_INDICES // max(nt, 1))
+    identity = list(range(G.n))
 
     def run_chunk(trials: range) -> tuple[int, ...]:
         acc = [0] * (2 * nt)
-        for t in trials:
-            order = tuple(plan.trial_rng(t).permutation(G.n).tolist())
-            for j, x in enumerate(targets):
-                i = calc.index(order, x)
-                acc[2 * j] += i
-                acc[2 * j + 1] += i * i
+        for lo in range(trials.start, trials.stop, block):
+            rows = []
+            for t in range(lo, min(lo + block, trials.stop)):
+                order = identity[:]
+                plan.trial_rng(t).shuffle(order)
+                rows.append([index(order, x) for x in targets])
+            for j, col in enumerate(zip(*rows)):
+                acc[2 * j] += sum(col)
+                acc[2 * j + 1] += sum(map(mul, col, col))
         return tuple(acc)
 
     acc = plan.map_reduce(run_chunk, sum_vectors)
