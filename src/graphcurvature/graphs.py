@@ -20,6 +20,10 @@ VertexSet = tuple[int, ...]
 # 1.8 GB before any edge; a larger declared count fails before allocating.
 MAX_VERTICES = 4_000_000
 
+# erdos_renyi draws one uniform per vertex pair, about 7 ns a pair, so a
+# graph at this cap takes about 7 s; a larger one fails before any draw.
+MAX_PAIRS = 1_000_000_000
+
 
 def _check_vertex_count(n: int) -> None:
     if n > MAX_VERTICES:
@@ -314,6 +318,9 @@ def erdos_renyi(n: int, q: float, seed: int) -> Graph:
         raise ValueError(f"n must be >= 0, got {n}")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {q}")
+    if n * (n - 1) // 2 > MAX_PAIRS:
+        raise ValueError(f"erdos_renyi on {n} vertices draws {n * (n - 1) // 2} vertex pairs, "
+                         f"above the limit MAX_PAIRS = {MAX_PAIRS}")
     rng = np.random.default_rng(seed)
     # Row i draws for the pairs (i, i+1), ..., (i, n-1): the same stream, in
     # the same order, as one draw for all n(n-1)/2 pairs, in O(n + m) memory.

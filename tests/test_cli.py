@@ -13,7 +13,7 @@ import pytest
 import graphcurvature
 from graphcurvature import percolation
 from graphcurvature.cli import main
-from graphcurvature.graphs import MAX_VERTICES, cycle_graph, to_edge_list, to_json
+from graphcurvature.graphs import MAX_PAIRS, MAX_VERTICES, cycle_graph, to_edge_list, to_json
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
@@ -555,4 +555,20 @@ class TestOversizedInput:
                               capture_output=True, text=True, env=env, timeout=300)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr == f"error: vertex count 300000000 exceeds the limit MAX_VERTICES = {MAX_VERTICES}\n"
+        assert float(proc.stdout) < 1.0
+
+    def test_erdos_renyi_pair_count_over_the_limit_fails_fast(self):
+        """n=200000 would draw 2e10 uniforms to place no edge; it exits 2 before the first.
+
+        Same 512 MiB address-space limit; unchecked, the run takes minutes
+        and the timeout fails the test.
+        """
+        pytest.importorskip("resource")
+        env = {**CHILD_ENV, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        proc = subprocess.run([sys.executable, "-c", TIMED_LIMITED_MAIN, str(1 << 29), "chi",
+                               "erdos_renyi:n=200000,q=0"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == ("error: erdos_renyi on 200000 vertices draws 19999900000 vertex pairs, "
+                               f"above the limit MAX_PAIRS = {MAX_PAIRS}\n")
         assert float(proc.stdout) < 1.0

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from graphcurvature import graphs
 from graphcurvature.graphs import (
+    MAX_PAIRS,
     MAX_VERTICES,
     EdgeListParseError,
     Graph,
@@ -69,6 +70,17 @@ class TestValidation:
             monkeypatch.setattr(graphs, name, lambda *args: pytest.fail("the generator ran"))
         with pytest.raises(ValueError, match=f"vertex count {MAX_VERTICES + 1} exceeds the limit"):
             generate(kind, n=MAX_VERTICES + 1, q=0.5)
+
+    def test_erdos_renyi_pair_count_over_the_cap_rejected(self, monkeypatch):
+        # 44722 vertices make 1,000,006,281 pairs, just over the cap. The
+        # check comes before the generator's first draw.
+        monkeypatch.setattr(np.random, "default_rng", lambda *args: pytest.fail("erdos_renyi drew"))
+        pairs = 44722 * 44721 // 2
+        assert pairs > MAX_PAIRS >= 44721 * 44720 // 2
+        with pytest.raises(ValueError, match=f"draws {pairs} vertex pairs, above the limit MAX_PAIRS = {MAX_PAIRS}"):
+            erdos_renyi(44722, 0.0, seed=1)
+        with pytest.raises(ValueError, match="MAX_PAIRS"):
+            generate("erdos_renyi", n=200_000, q=0.0)
 
 
 class TestEdgeList:
