@@ -111,8 +111,7 @@ class TestOneStreamPerTrial:
         survival_grid(icosahedron(), 1, 250, seed=4, mode=mode, grid=grid)
         assert seen == list(range(250))
 
-    @pytest.mark.parametrize("vertices", [None, (5, 0, 5)])
-    def test_index_expectation(self, seen, monkeypatch, vertices):
+    def test_index_expectation(self, seen, monkeypatch):
         """One generator per trial, in trial order, and one index call per target."""
         calls = []
         index = IndexCalculator.index
@@ -122,10 +121,12 @@ class TestOneStreamPerTrial:
             return index(calc, order, x)
 
         monkeypatch.setattr(IndexCalculator, "index", counted)
-        mc_index_expectation(octahedron(), TrialPlan(samples=333, master_seed=4), vertices=vertices)
-        assert seen == list(range(333))
-        targets = list(range(6)) if vertices is None else list(vertices)
-        assert calls == targets * 333
+        for vertices, targets in ((None, [0, 1, 2, 3, 4, 5]), ((5, 0, 5), [5, 0, 5])):
+            seen.clear()
+            calls.clear()
+            mc_index_expectation(octahedron(), TrialPlan(samples=333, master_seed=4), vertices=vertices)
+            assert seen == list(range(333))
+            assert calls == targets * 333
 
 
 class TestMeanStderr:
