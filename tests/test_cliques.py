@@ -20,6 +20,7 @@ from graphcurvature.cliques import (
     vertex_clique_degrees,
 )
 from graphcurvature.graphs import (
+    Graph,
     complete_graph,
     cycle_graph,
     erdos_renyi,
@@ -107,6 +108,21 @@ class TestCountCliques:
 
         with pytest.raises(Stop):
             count_cliques(complete_graph(17), progress=cb)
+
+    @pytest.mark.parametrize("G", [
+        Graph.from_edges(0, []),
+        path_graph(1),
+        Graph.from_edges(6, [(1, 4)]),  # isolated vertices around one edge
+        Graph.from_edges(4, []),
+        star_graph(9),
+        complete_graph(12),
+        Graph.from_edges(9, [(v, 8) for v in range(8)] + [(0, 1), (1, 2)]),  # a star on the top vertex, plus two triangles
+        Graph.from_edges(9, [(v, 8) for v in range(8)]),  # top vertex holds every edge
+        *(erdos_renyi(n, q, seed=s) for n, q, s in ((30, 0.3, 1), (40, 0.5, 2), (25, 0.9, 3),
+                                                    (60, 0.1, 4), (18, 0.7, 5))),
+    ], ids=repr)
+    def test_matches_whole_graph_mask_route(self, G):
+        assert count_cliques(G) == count_cliques_in_mask(G.adjacency_masks, (1 << G.n) - 1)
 
     def test_matches_networkx_on_corpus(self, corpus):
         nx = pytest.importorskip("networkx")
@@ -222,3 +238,17 @@ class TestVertexCliqueDegrees:
 def test_fvector_against_brute_force(n, q, seed):
     G = erdos_renyi(n, q, seed=seed)
     assert count_cliques(G) == brute_force_fvector(G)
+
+
+@st.composite
+def edge_sets(draw):
+    n = draw(st.integers(min_value=0, max_value=16))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return Graph.from_edges(n, edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(G=edge_sets())
+def test_fvector_against_whole_graph_masks(G):
+    assert count_cliques(G) == count_cliques_in_mask(G.adjacency_masks, (1 << G.n) - 1)

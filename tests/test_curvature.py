@@ -7,7 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphcurvature.cliques import graph_euler_characteristic
+from graphcurvature.cliques import (
+    count_cliques_in_mask,
+    euler_characteristic,
+    graph_euler_characteristic,
+)
 from graphcurvature.curvature import (
     curvature,
     curvature_field,
@@ -24,8 +28,14 @@ from graphcurvature.graphs import (
     octahedron,
     path_graph,
     random_tree,
+    sphere_masks,
     star_graph,
 )
+
+
+def series_curvature(V):
+    """K = sum_k (-1)^k V_{k-1} / (k+1), V_{-1} = 1, term by term in Fractions."""
+    return sum((Fraction((-1) ** k * c, k + 1) for k, c in enumerate((1, *V))), Fraction(0))
 
 
 class TestKnownValues:
@@ -70,6 +80,12 @@ class TestKnownValues:
         assert curvature_from_degrees((5, 5)) == Fraction(1, 6)
         assert curvature_from_degrees((4, 4)) == Fraction(1, 3)
 
+    @settings(max_examples=200, deadline=None)
+    @given(V=st.lists(st.integers(min_value=0, max_value=10**12), max_size=30))
+    def test_curvature_from_degrees_matches_series(self, V):
+        K = curvature_from_degrees(tuple(V))
+        assert isinstance(K, Fraction) and K == series_curvature(V)
+
 
 class TestGaussBonnet:
     def test_exact_on_er_sweep(self):
@@ -100,6 +116,17 @@ class TestGaussBonnet:
 
         with pytest.raises(Stop):
             curvature_field(G, progress=stop)
+
+    def test_field_unchanged_on_corpus(self, corpus):
+        # Reference: each sphere counted on its own masks, the series in
+        # Fractions, and chi from the whole graph's n-bit masks.
+        for name, G in corpus:
+            field = curvature_field(G)
+            ref = tuple(series_curvature(count_cliques_in_mask(sphere_masks(G, x), (1 << G.degree(x)) - 1))
+                        for x in range(G.n))
+            assert field.values == ref, name
+            chi = euler_characteristic(count_cliques_in_mask(G.adjacency_masks, (1 << G.n) - 1))
+            assert field.total == sum(ref, Fraction(0)) == chi, name
 
     def test_json_shape(self):
         field = curvature_field(cycle_graph(3))

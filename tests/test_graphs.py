@@ -168,6 +168,17 @@ class TestInducedSubgraph:
         with pytest.raises(ValueError):
             induced_subgraph(cycle_graph(4), (0, 9))
 
+    @pytest.mark.parametrize("vertices", [
+        (5, 1, 3), (3, 3, 1, 1), (7, 0, 4, 2, 6, 0, 4), (8, 8, 8), tuple(range(8, -1, -1)),
+    ])
+    def test_matches_reference_relabel(self, vertices):
+        G = random_graph(9, 0.5, 4)
+        members = sorted(set(vertices))
+        ref = Graph.from_edges(len(members), [
+            (i, j) for i, u in enumerate(members) for j, v in enumerate(members)
+            if i < j and G.has_edge(u, v)])
+        assert induced_subgraph(G, vertices) == ref
+
     def test_relabeling_ascending(self):
         G = path_graph(5)
         sub = induced_subgraph(G, (1, 3, 4))
