@@ -5,10 +5,16 @@ number of complete subgraphs on k+1 vertices; its alternating sum is the
 Euler characteristic.  Enumeration is by ordered extension: a clique
 {a < b < ... < z} is extended only by common neighbors greater than z,
 so every clique is visited exactly once.
+
+``count_cliques`` runs that extension once per vertex v, over v's forward
+neighbourhood (the neighbours above v) as bitmasks at most deg(v) bits
+wide, so it needs O(n + m) memory and never builds the graph's n-bit
+``adjacency_masks``.  One work meter spans all of those runs.
 """
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -39,17 +45,24 @@ _METER_STRIDE = 4096
 
 
 class _WorkMeter:
-    __slots__ = ("warned", "progress", "next_progress")
+    """Clique visits over one or more ``count_cliques_in_mask`` calls.
 
-    def __init__(self, progress):
+    ``visits`` is the running total of the calls that have returned; the
+    budget warning and ``progress`` see that total plus the current call's.
+    """
+
+    __slots__ = ("warned", "progress", "next_progress", "visits")
+
+    def __init__(self, progress, visits: int = 0):
         self.warned = False
         self.progress = progress
         self.next_progress = PROGRESS_INTERVAL
+        self.visits = visits
 
     def event(self, visits: int, depth: int):
         """``depth`` is the number of ``grow`` frames between this call and
         ``count_cliques_in_mask``, so the warning names the line that called
-        ``count_cliques``."""
+        ``count_cliques`` or ``vertex_clique_degrees``."""
         if not self.warned and visits > DEFAULT_WORK_BUDGET:
             self.warned = True
             warnings.warn(
@@ -68,10 +81,11 @@ def count_cliques_in_mask(masks: Sequence[int], candidates: int,
     """f-vector of the subgraph induced on the ``candidates`` bitmask.
 
     ``masks[v]`` is the neighbor bitmask of vertex v; candidate bits must
-    index into ``masks``.
+    index into ``masks``.  The visits are added to ``meter``'s running total.
     """
     counts: list[int] = []
     visits = 0
+    done = meter.visits if meter is not None else 0
 
     def grow(cand: int, size: int):
         nonlocal visits
@@ -85,7 +99,7 @@ def count_cliques_in_mask(masks: Sequence[int], candidates: int,
             if meter is not None:
                 visits += 1
                 if not (visits & (_METER_STRIDE - 1)):
-                    meter.event(visits, size)
+                    meter.event(done + visits, size)
             sub = m & masks[b.bit_length() - 1]
             if sub:
                 grow(sub, size + 1)
@@ -93,20 +107,46 @@ def count_cliques_in_mask(masks: Sequence[int], candidates: int,
     if candidates:
         grow(candidates, 1)
     if meter is not None and visits:
-        meter.event(visits, 0)  # final check so short runs still hit the budget
+        meter.visits = done + visits
+        meter.event(meter.visits, 0)  # final check so short runs still hit the budget
     return tuple(counts)
 
 
 def count_cliques(G: Graph, progress: Callable[[int], None] | None = None) -> FVector:
     """Exact counts of all complete subgraphs of G, as the f-vector.
 
+    Each clique is counted once, from its lowest vertex v: v plus a clique
+    of F(v), v's neighbours above v.  Bit i of local mask j is set when
+    F(v)[i] is a neighbour of F(v)[j] above it, so the masks are at most
+    deg(v) bits wide and memory stays O(n + m).
+
     Above ``DEFAULT_WORK_BUDGET`` clique visits a RuntimeWarning is emitted
-    once; ``progress`` is called with the visit count about every
-    ``PROGRESS_INTERVAL`` visits and may raise to abort.
+    once; ``progress`` is called with the running visit count about every
+    ``PROGRESS_INTERVAL`` visits and may raise to abort.  Both see the total
+    over all vertices so far, each vertex counting as one visit.
     """
     if G.n == 0:
         return ()
-    return count_cliques_in_mask(G.adjacency_masks, (1 << G.n) - 1, _WorkMeter(progress))
+    forward = [nbrs[bisect_right(nbrs, v):] for v, nbrs in enumerate(G.adj)]
+    counts = [G.n]
+    meter = _WorkMeter(progress, G.n)
+    for F in forward:
+        if not F:
+            continue
+        bit = {u: 1 << i for i, u in enumerate(F)}
+        masks = []
+        for u in F:
+            m = 0
+            for w in forward[u]:
+                b = bit.get(w)
+                if b:
+                    m |= b
+            masks.append(m)
+        fvec = count_cliques_in_mask(masks, (1 << len(F)) - 1, meter)
+        counts += [0] * (len(fvec) + 1 - len(counts))
+        for k, c in enumerate(fvec, 1):
+            counts[k] += c
+    return tuple(counts)
 
 
 def cliques_of_size(G: Graph, size: int) -> tuple[int, ...]:
@@ -161,6 +201,13 @@ def graph_euler_characteristic(G: Graph,
 
 
 def vertex_clique_degrees(G: Graph, x: int) -> FVector:
-    """f-vector of the unit sphere at x: V_k(x) = #K_{k+1} in S(x)."""
+    """f-vector of the unit sphere at x: V_k(x) = #K_{k+1} in S(x).
+
+    The sphere is counted on its own adjacency masks, an enumeration apart
+    from ``count_cliques``'s, so the transfer and Gauss-Bonnet checks compare
+    two routes.
+    """
     sphere, _ = unit_sphere(G, x)
-    return count_cliques(sphere)
+    if sphere.n == 0:
+        return ()
+    return count_cliques_in_mask(sphere.adjacency_masks, (1 << sphere.n) - 1, _WorkMeter(None))

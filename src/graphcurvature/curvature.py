@@ -6,12 +6,13 @@ unit sphere,
     K(x) = sum_{k>=0} (-1)^k V_{k-1}(x) / (k+1),    V_{-1}(x) = 1,
 
 and summing K over all vertices gives the Euler characteristic exactly.
-Everything here is Fraction arithmetic; no rounding anywhere.
+Everything here is exact integer or Fraction arithmetic; no rounding anywhere.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable
 
 from .cliques import IdentityCheck, count_cliques, euler_characteristic, vertex_clique_degrees
@@ -19,12 +20,17 @@ from .graphs import Graph
 
 
 def curvature_from_degrees(V: tuple[int, ...]) -> Fraction:
-    """Curvature of a vertex whose sphere has f-vector V (V[k] = V_k)."""
-    total = Fraction(1)  # k = 0 term: V_{-1} = 1
+    """Curvature of a vertex whose sphere has f-vector V (V[k] = V_k).
+
+    The series is summed in integers over L = lcm(2, ..., len(V) + 1), the
+    common denominator of its terms, and reduced once.
+    """
+    L = lcm(*range(2, len(V) + 2))
+    num = L  # k = 0 term: V_{-1} = 1
     for j, count in enumerate(V):
-        term = Fraction(count, j + 2)
-        total += -term if j % 2 == 0 else term
-    return total
+        term = count * (L // (j + 2))
+        num += -term if j % 2 == 0 else term
+    return Fraction(num, L)
 
 
 def curvature(G: Graph, x: int) -> Fraction:

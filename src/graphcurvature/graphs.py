@@ -129,11 +129,9 @@ def induced_subgraph(G: Graph, vertices: Sequence[int]) -> Graph:
     for v in members:
         G._check_vertex(v)
     local = {v: i for i, v in enumerate(members)}
-    adj = []
-    for v in members:
-        nbrs = G.neighbor_sets[v]
-        adj.append(tuple(local[u] for u in members if u in nbrs and u != v))
-    return Graph(len(members), tuple(adj))
+    # G.adj[v] ascends and local ids keep the order, so each row is sorted.
+    adj = tuple([tuple([local[u] for u in G.adj[v] if u in local]) for v in members])
+    return Graph(len(members), adj)
 
 
 def unit_sphere(G: Graph, x: int) -> tuple[Graph, VertexSet]:

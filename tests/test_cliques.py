@@ -96,6 +96,38 @@ class TestCountCliques:
                 count_cliques(H)
             assert [r.filename for r in records] == [__file__]
 
+    def test_work_budget_meters_the_running_total(self, monkeypatch):
+        # 40 disjoint K_8: 10,200 cliques in all, at most 255 per component
+        # and 127 from any one vertex, so only the running total passes 1000.
+        edges = [(8 * c + i, 8 * c + j) for c in range(40) for i in range(8) for j in range(i + 1, 8)]
+        G = Graph.from_edges(320, edges)
+        monkeypatch.setattr(cliques, "DEFAULT_WORK_BUDGET", 1000)
+        with pytest.warns(RuntimeWarning, match="budget 1000") as records:
+            assert count_cliques(G) == (320, 1120, 2240, 2800, 2240, 1120, 320, 40)
+        assert [r.filename for r in records] == [__file__]
+
+    def test_progress_sees_the_running_total(self, monkeypatch):
+        edges = [(8 * c + i, 8 * c + j) for c in range(40) for i in range(8) for j in range(i + 1, 8)]
+        monkeypatch.setattr(cliques, "PROGRESS_INTERVAL", 1000)
+        seen = []
+        count_cliques(Graph.from_edges(320, edges), progress=seen.append)
+        # one call each time the total passes a multiple of 1000, at most one
+        # vertex's 127 visits late
+        assert len(seen) == 10 and all(k * 1000 <= v < k * 1000 + 128 for k, v in enumerate(seen, 1))
+
+    def test_dense_sphere_warns_naming_its_caller(self, monkeypatch):
+        monkeypatch.setattr(cliques, "DEFAULT_WORK_BUDGET", 100)
+        with pytest.warns(RuntimeWarning, match="budget 100") as records:
+            assert vertex_clique_degrees(complete_graph(14), 0) == tuple(comb(13, k + 1) for k in range(13))
+        assert [r.filename for r in records] == [__file__]
+
+    def test_whole_graph_masks_are_not_built(self):
+        # n-bit masks for this path would take about 2.5 GB; the forward
+        # neighbourhoods take O(n + m).
+        G = path_graph(200_000)
+        assert count_cliques(G) == (200_000, 199_999)
+        assert "adjacency_masks" not in vars(G)
+
     def test_progress_callback_can_abort(self):
         # K_17 has 2^17 - 1 = 131071 cliques, past one PROGRESS_INTERVAL.
         assert PROGRESS_INTERVAL < 2**17 - 1

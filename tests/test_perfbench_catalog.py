@@ -16,7 +16,8 @@ import pytest
 import graphcurvature
 from graphcurvature import cli, verify  # noqa: F401  (the catalog names both)
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER_PATH = PERFBENCH / "tracer.py"
 
 
 @pytest.fixture(scope="module")
@@ -64,3 +65,29 @@ def test_install_then_uninstall_restores_every_original(tracer):
     after = _bindings(tracer)
     assert after.keys() == before.keys()
     assert [key for key, value in after.items() if value is not before[key]] == []
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    """perfbench/workloads.py, imported with its sibling modules, then unloaded."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    for name in ("inputs", "tracer", "workloads"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    yield importlib.import_module("workloads")
+    for name in ("inputs", "tracer", "workloads"):
+        sys.modules.pop(name, None)
+
+
+def test_chi_geometric_op_records_every_expected_layer(tracer, workloads, tmp_path):
+    wl = workloads.WORKLOADS["chi_geometric"]
+    ctx = workloads.Context(gc=graphcurvature, cli=cli, seed=3, workers=1, workdir=tmp_path,
+                            text=workloads.inputs.geometric_torus_text(400, 8, 3))
+    t = tracer.Tracer()
+    t.install()
+    try:
+        G, *chis = wl.op(ctx)
+    finally:
+        t.uninstall()
+    by_name = t.totals()[0]
+    assert [name for name in wl.expected_layers if not by_name.get(name, [0])[0]] == []
+    assert len(set(chis)) == 1 and G.n == 400
