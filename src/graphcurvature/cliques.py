@@ -208,6 +208,4 @@ def vertex_clique_degrees(G: Graph, x: int) -> FVector:
     two routes.
     """
     sphere, _ = unit_sphere(G, x)
-    if sphere.n == 0:
-        return ()
     return count_cliques_in_mask(sphere.adjacency_masks, (1 << sphere.n) - 1, _WorkMeter(None))

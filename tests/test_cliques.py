@@ -96,21 +96,21 @@ class TestCountCliques:
                 count_cliques(H)
             assert [r.filename for r in records] == [__file__]
 
+    # 40 disjoint K_8: 10,200 cliques in all, at most 255 per component and
+    # 127 from any one vertex, so only the running total passes 1000.
+    DISJOINT_K8 = Graph.from_edges(320, [(8 * c + i, 8 * c + j)
+                                         for c in range(40) for i in range(8) for j in range(i + 1, 8)])
+
     def test_work_budget_meters_the_running_total(self, monkeypatch):
-        # 40 disjoint K_8: 10,200 cliques in all, at most 255 per component
-        # and 127 from any one vertex, so only the running total passes 1000.
-        edges = [(8 * c + i, 8 * c + j) for c in range(40) for i in range(8) for j in range(i + 1, 8)]
-        G = Graph.from_edges(320, edges)
         monkeypatch.setattr(cliques, "DEFAULT_WORK_BUDGET", 1000)
         with pytest.warns(RuntimeWarning, match="budget 1000") as records:
-            assert count_cliques(G) == (320, 1120, 2240, 2800, 2240, 1120, 320, 40)
+            assert count_cliques(self.DISJOINT_K8) == (320, 1120, 2240, 2800, 2240, 1120, 320, 40)
         assert [r.filename for r in records] == [__file__]
 
     def test_progress_sees_the_running_total(self, monkeypatch):
-        edges = [(8 * c + i, 8 * c + j) for c in range(40) for i in range(8) for j in range(i + 1, 8)]
         monkeypatch.setattr(cliques, "PROGRESS_INTERVAL", 1000)
         seen = []
-        count_cliques(Graph.from_edges(320, edges), progress=seen.append)
+        count_cliques(self.DISJOINT_K8, progress=seen.append)
         # one call each time the total passes a multiple of 1000, at most one
         # vertex's 127 visits late
         assert len(seen) == 10 and all(k * 1000 <= v < k * 1000 + 128 for k, v in enumerate(seen, 1))
