@@ -1,5 +1,6 @@
 """Clique counting against brute-force oracles."""
 
+import random
 import warnings
 from itertools import combinations
 from math import comb
@@ -128,6 +129,30 @@ class TestCountCliques:
         assert count_cliques(G) == (200_000, 199_999)
         assert "adjacency_masks" not in vars(G)
 
+    def test_progress_from_inside_one_vertex(self, monkeypatch):
+        # Vertex 0 of K_15 has 14 forward neighbours: 16383 visits in one
+        # count_cliques_in_mask call, several _METER_STRIDE past the 15 it
+        # starts from.
+        monkeypatch.setattr(cliques, "PROGRESS_INTERVAL", 1000)
+        first_call_ends = 15 + 2**14 - 1
+        assert first_call_ends > 15 + 2 * cliques._METER_STRIDE
+        seen = []
+        assert count_cliques(complete_graph(15)) == tuple(comb(15, k + 1) for k in range(15))
+        count_cliques(complete_graph(15), progress=seen.append)
+        assert seen == sorted(seen) and seen[-1] <= 2**15 - 1
+        assert sum(v < first_call_ends for v in seen) >= 2
+
+        class Stop(Exception):
+            pass
+
+        def stop(visits):
+            raise Stop(visits)
+
+        with pytest.raises(Stop) as excinfo:
+            count_cliques(complete_graph(15), progress=stop)
+        assert excinfo.value.args[0] < first_call_ends
+        assert "grow" in [entry.name for entry in excinfo.traceback]
+
     def test_progress_callback_can_abort(self):
         # K_17 has 2^17 - 1 = 131071 cliques, past one PROGRESS_INTERVAL.
         assert PROGRESS_INTERVAL < 2**17 - 1
@@ -168,6 +193,61 @@ class TestCountCliques:
                     fvec.append(0)
                 fvec[-1] += 1
             assert count_cliques(G) == tuple(fvec), name
+
+
+def brute_force_mask_fvector(masks, candidates):
+    """f-vector of the candidate bits by testing every subset's pairs."""
+    bits = [v for v in range(candidates.bit_length()) if candidates >> v & 1]
+    counts = []
+    for size in range(1, len(bits) + 1):
+        c = sum(1 for sub in combinations(bits, size)
+                if all(masks[u] >> w & 1 for u, w in combinations(sub, 2)))
+        if c == 0:
+            break
+        counts.append(c)
+    return tuple(counts)
+
+
+def random_masks(rng, width, q):
+    masks = [0] * width
+    for u, w in combinations(range(width), 2):
+        if rng.random() < q:
+            masks[u] |= 1 << w
+            masks[w] |= 1 << u
+    return masks
+
+
+class TestMaskKernel:
+    def test_matches_brute_force_on_random_masks(self):
+        rng = random.Random(15)
+        for _ in range(60):
+            width = rng.randint(0, 14)
+            masks = random_masks(rng, width, rng.random())
+            full = (1 << width) - 1
+            subsets = [0, full, rng.getrandbits(width) if width else 0, rng.getrandbits(width) & full]
+            subsets += [1 << v for v in range(width)]
+            for cand in subsets:
+                assert count_cliques_in_mask(masks, cand) == brute_force_mask_fvector(masks, cand), (masks, cand)
+
+    def test_complete_masks_give_binomials(self):
+        rng = random.Random(7)
+        for n in range(1, 15):
+            masks = [((1 << n) - 1) ^ (1 << v) for v in range(n)]
+            for cand in ((1 << n) - 1, 1 << (n - 1), rng.getrandbits(n), 0):
+                k = cand.bit_count()
+                assert count_cliques_in_mask(masks, cand) == tuple(comb(k, j + 1) for j in range(k))
+        assert count_cliques_in_mask([0b1110, 0b1101, 0b1011, 0b0111], 0b1111) == (4, 6, 4, 1)
+
+    @pytest.mark.parametrize("done", [0, 1, 4095, 123_456])
+    def test_meter_ends_at_done_plus_visits(self, done):
+        rng = random.Random(done)
+        meter = cliques._WorkMeter(None, done)
+        total = done
+        for width, q in ((12, 0.6), (0, 0.0), (14, 0.9), (5, 0.0), (13, 1.0)):
+            masks = random_masks(rng, width, q)
+            fvec = count_cliques_in_mask(masks, (1 << width) - 1, meter)
+            total += sum(fvec)
+            assert meter.visits == total and fvec == brute_force_mask_fvector(masks, (1 << width) - 1)
 
 
 class TestMaskEnumeration:

@@ -128,6 +128,16 @@ class TestGaussBonnet:
             chi = euler_characteristic(count_cliques_in_mask(G.adjacency_masks, (1 << G.n) - 1))
             assert field.total == sum(ref, Fraction(0)) == chi, name
 
+    def test_total_is_the_fraction_sum(self, corpus):
+        graphs = [G for _, G in corpus]
+        graphs += [Graph.from_edges(0, [])]
+        graphs += [erdos_renyi(n, q, seed=s) for n, q, s in ((20, 0.3, 1), (30, 0.5, 2), (40, 0.15, 3), (16, 0.8, 4))]
+        for G in graphs:
+            field = curvature_field(G)
+            total = sum(field.values, Fraction(0))
+            assert isinstance(field.total, Fraction) and field.total == total, G
+            assert str(field.total) == str(total)
+
     def test_json_shape(self):
         field = curvature_field(cycle_graph(3))
         payload = field.to_json_dict()

@@ -54,6 +54,30 @@ class TestValidation:
         with pytest.raises(ValueError):
             Graph(n=3, adj=((2, 1), (0, 2), (0, 1)))
 
+    @pytest.mark.parametrize("n, adj, message", [
+        (2, ((1,), ()), "asymmetric edge 0-1"),
+        (3, ((), (0, 2), (1,)), "asymmetric edge 1-0"),
+        # 0-2, 0-3, 1-2 and 2-3 are all one-sided; the first in row order is named
+        (4, ((1, 2, 3), (0, 2), (3,), ()), "asymmetric edge 0-2"),
+        (3, ([1, 2], [0], []), "asymmetric edge 0-2"),
+        (3, [[1], [0, 2], []], "asymmetric edge 1-2"),
+        # an earlier per-entry check wins over an asymmetry in an earlier row
+        (3, ((1,), (), (2,)), "self-loop at vertex 2"),
+        (3, ((1,), (), (5,)), "neighbor 5 of vertex 2 out of range"),
+        (3, ((1,), (), (-1,)), "neighbor -1 of vertex 2 out of range"),
+        (3, ((1,), (), (1, 0)), "adjacency of vertex 2 not strictly sorted"),
+        (3, ((1,), (), (1, 1)), "adjacency of vertex 2 not strictly sorted"),
+    ])
+    def test_rejection_names_the_first_fault(self, n, adj, message):
+        with pytest.raises(ValueError) as excinfo:
+            Graph(n, adj)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("adj", [([1], [0, 2], [1]), [(1,), (0, 2), (1,)], [[1], [0, 2], [1]]])
+    def test_symmetric_rows_as_lists_accepted(self, adj):
+        G = Graph(3, adj)
+        assert G.edges == ((0, 1), (1, 2)) and G.has_edge(2, 1) and not G.has_edge(0, 2)
+
     def test_duplicate_edges_deduplicated(self):
         G = Graph.from_edges(2, [(0, 1), (1, 0), (0, 1)])
         assert G.edges == ((0, 1),)
@@ -167,6 +191,14 @@ class TestInducedSubgraph:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             induced_subgraph(cycle_graph(4), (0, 9))
+
+    @pytest.mark.parametrize("vertices, bad", [
+        ((-1,), -1), ((0, 4), 4), ((5, 2, 4), 4), ((7, -2, 1, 9), -2), ((3, -5, -1), -5),
+    ])
+    def test_out_of_range_names_the_lowest_bad_vertex(self, vertices, bad):
+        with pytest.raises(ValueError) as excinfo:
+            induced_subgraph(cycle_graph(4), vertices)
+        assert str(excinfo.value) == f"vertex {bad} out of range for n=4"
 
     @pytest.mark.parametrize("vertices", [
         (5, 1, 3), (3, 3, 1, 1), (7, 0, 4, 2, 6, 0, 4), (8, 8, 8), tuple(range(8, -1, -1)),
