@@ -4,7 +4,10 @@ The f-vector of a graph is the tuple (v_0, v_1, ...) where v_k is the
 number of complete subgraphs on k+1 vertices; its alternating sum is the
 Euler characteristic.  Enumeration is by ordered extension: a clique
 {a < b < ... < z} is extended only by common neighbors greater than z,
-so every clique is visited exactly once.
+so every clique is visited exactly once.  Those common neighbours are one
+bitmask, and each of its bits is a clique one vertex larger, so a whole
+level is counted by one popcount; the work meter is checked once per
+such level, not once per clique.
 
 ``count_cliques`` runs that extension once per vertex v, over v's forward
 neighbourhood (the neighbours above v) as bitmasks at most deg(v) bits
@@ -16,6 +19,7 @@ from __future__ import annotations
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
+from math import inf
 from typing import Callable, Sequence
 
 from .graphs import Graph, unit_sphere
@@ -39,7 +43,8 @@ class IdentityCheck:
 DEFAULT_WORK_BUDGET = 50_000_000
 
 # ``count_cliques`` calls its progress hook about every PROGRESS_INTERVAL
-# clique visits; the budget and the hook are checked every _METER_STRIDE.
+# clique visits; the budget and the hook are checked at the first level
+# counted past each multiple of _METER_STRIDE, and at the end of each call.
 PROGRESS_INTERVAL = 100_000
 _METER_STRIDE = 4096
 
@@ -48,7 +53,8 @@ class _WorkMeter:
     """Clique visits over one or more ``count_cliques_in_mask`` calls.
 
     ``visits`` is the running total of the calls that have returned; the
-    budget warning and ``progress`` see that total plus the current call's.
+    budget warning and ``progress`` see that total plus the cliques the
+    current call has counted so far.
     """
 
     __slots__ = ("warned", "progress", "next_progress", "visits")
@@ -82,32 +88,45 @@ def count_cliques_in_mask(masks: Sequence[int], candidates: int,
 
     ``masks[v]`` is the neighbor bitmask of vertex v; candidate bits must
     index into ``masks``.  The visits are added to ``meter``'s running total.
-    """
-    counts: list[int] = []
-    visits = 0
-    done = meter.visits if meter is not None else 0
 
-    def grow(cand: int, size: int):
-        nonlocal visits
+    Each ``grow`` frame counts a whole level at once: every bit of ``cand``
+    extends the current clique by one vertex, so ``counts[depth]`` gains
+    ``cand.bit_count()``.  A one-bit extension set is counted in place
+    rather than by a frame of its own.  The meter is checked once per frame,
+    when the frames' candidates pass the next multiple of ``_METER_STRIDE``,
+    and once more at the end of the call.
+    """
+    if not candidates:
+        return ()
+    counts = [0] * candidates.bit_count()
+    done = meter.visits if meter is not None else 0
+    framed = 0  # visits counted by frames, all but the one-bit extensions
+    check = _METER_STRIDE if meter is not None else inf
+
+    def grow(cand: int, depth: int):
+        nonlocal framed, check
+        c = cand.bit_count()
+        counts[depth] += c
+        framed += c
+        if framed >= check:
+            check = framed - framed % _METER_STRIDE + _METER_STRIDE
+            meter.event(done + sum(counts), depth + 1)
         m = cand
         while m:
             b = m & -m
             m ^= b
-            if size > len(counts):
-                counts.append(0)
-            counts[size - 1] += 1
-            if meter is not None:
-                visits += 1
-                if not (visits & (_METER_STRIDE - 1)):
-                    meter.event(done + visits, size)
             sub = m & masks[b.bit_length() - 1]
             if sub:
-                grow(sub, size + 1)
+                if sub & (sub - 1):
+                    grow(sub, depth + 1)
+                else:
+                    counts[depth + 1] += 1
 
-    if candidates:
-        grow(candidates, 1)
-    if meter is not None and visits:
-        meter.visits = done + visits
+    grow(candidates, 0)
+    while not counts[-1]:
+        counts.pop()
+    if meter is not None:
+        meter.visits = done + sum(counts)
         meter.event(meter.visits, 0)  # final check so short runs still hit the budget
     return tuple(counts)
 

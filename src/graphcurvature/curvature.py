@@ -60,7 +60,9 @@ def curvature_field(G: Graph,
         if progress is not None:
             progress(x)
         values.append(curvature(G, x))
-    return CurvatureField(tuple(values), sum(values, Fraction(0)))
+    # One Fraction over the common denominator, not one addition per vertex.
+    L = lcm(*{K.denominator for K in values})
+    return CurvatureField(tuple(values), Fraction(sum(K.numerator * (L // K.denominator) for K in values), L))
 
 
 def verify_gauss_bonnet(G: Graph) -> IdentityCheck:

@@ -15,9 +15,9 @@ import numpy as np
 
 VertexSet = tuple[int, ...]
 
-# Graph.from_edges peaks near 460 bytes per isolated vertex (tracemalloc on
+# Graph.from_edges peaks near 315 bytes per isolated vertex (tracemalloc on
 # from_edge_list("n 1000000\n0 1\n")), so a graph at this cap needs about
-# 1.8 GB before any edge; a larger declared count fails before allocating.
+# 1.3 GB before any edge; a larger declared count fails before allocating.
 MAX_VERTICES = 4_000_000
 
 # erdos_renyi draws one uniform per vertex pair, about 7 ns a pair, so a
@@ -44,7 +44,9 @@ class Graph:
 
     Invariants (checked on construction): no self-loops, symmetric
     adjacency, all neighbor ids in ``[0, n)``, each adjacency tuple
-    strictly increasing.
+    strictly increasing.  Symmetry is checked by transposition: the rows
+    rebuilt from every entry ``u in adj[v]`` must equal ``adj``.
+    ``neighbor_sets`` is built only when ``has_edge`` first needs it.
     """
 
     n: int
@@ -55,6 +57,9 @@ class Graph:
             raise ValueError(f"vertex count must be >= 0, got {self.n}")
         if len(self.adj) != self.n:
             raise ValueError(f"adjacency has {len(self.adj)} rows for n={self.n}")
+        # rows is the transpose: v joins rows[u] for each u in adj[v], in
+        # ascending v, so the adjacency is symmetric iff rows equals adj.
+        rows: list[list[int]] = [[] for _ in range(self.n)]
         for v, nbrs in enumerate(self.adj):
             prev = -1
             for u in nbrs:
@@ -65,6 +70,11 @@ class Graph:
                 if u <= prev:
                     raise ValueError(f"adjacency of vertex {v} not strictly sorted")
                 prev = u
+                rows[u].append(v)
+        if list(map(tuple, rows)) == list(self.adj):
+            return
+        # Not equal as tuples: find the first one-sided edge in row order
+        # (rows given as lists may still be symmetric).
         for v, nbrs in enumerate(self.adj):
             for u in nbrs:
                 if v not in self.neighbor_sets[u]:
@@ -126,8 +136,9 @@ class Graph:
 def induced_subgraph(G: Graph, vertices: Sequence[int]) -> Graph:
     """Subgraph induced on ``vertices``, relabeled 0..|S|-1 in ascending id order."""
     members = sorted(set(vertices))
-    for v in members:
-        G._check_vertex(v)
+    if members and not 0 <= members[0] <= members[-1] < G.n:
+        for v in members:
+            G._check_vertex(v)
     local = {v: i for i, v in enumerate(members)}
     # G.adj[v] ascends and local ids keep the order, so each row is sorted.
     adj = tuple([tuple([local[u] for u in G.adj[v] if u in local]) for v in members])

@@ -359,3 +359,10 @@ def test_has_edge():
     G = cycle_graph(5)
     assert G.has_edge(0, 1) and G.has_edge(1, 0)
     assert not G.has_edge(0, 2)
+
+
+def test_neighbor_sets_built_on_demand():
+    G = Graph.from_edges(4, [(0, 1), (1, 2), (3, 1)])
+    assert "neighbor_sets" not in vars(G)
+    assert G.has_edge(1, 3) and G.has_edge(3, 1) and not G.has_edge(0, 2)
+    assert G.neighbor_sets == (frozenset({1}), frozenset({0, 2, 3}), frozenset({1}), frozenset({1}))
