@@ -100,7 +100,7 @@ def count_cliques_in_mask(masks: Sequence[int], candidates: int,
         return ()
     counts = [0] * candidates.bit_count()
     done = meter.visits if meter is not None else 0
-    framed = 0  # visits counted by frames, all but the one-bit extensions
+    framed = 0  # visits counted by frames: all but the one-bit extensions, so at least half
     check = _METER_STRIDE if meter is not None else inf
 
     def grow(cand: int, depth: int):

@@ -511,7 +511,7 @@ TIMED_LIMITED_MAIN = LIMITED_MAIN.replace(
 
 class TestOversizedInput:
     def test_out_of_memory_is_usage_error(self, tmp_path):
-        """A header at the vertex limit asks for about 1.8 GB, which exhausts a
+        """A header at the vertex limit asks for about 1.3 GB, which exhausts a
         512 MiB address space.
 
         The input is never run without the limit.
