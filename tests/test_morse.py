@@ -321,3 +321,44 @@ class TestTranspositionPath:
     def test_stability(self):
         for G in (cycle_graph(7), complete_graph(5), erdos_renyi(10, 0.5, seed=6)):
             assert verify_index_stability(G, trials=25, seed=3)
+
+
+def _bubble_reversal_orders(start):
+    """The start order, then the order after each bubble swap to its reversal.
+
+    Pass i carries the vertex at rank 0 up to rank n - 1 - i, one swap of
+    consecutive ranks at a time.
+    """
+    ranks = list(start)
+    yield tuple(ranks)
+    for i in range(len(ranks)):
+        for j in range(len(ranks) - 1 - i):
+            a = ranks.index(j)
+            b = ranks.index(j + 1)
+            ranks[a], ranks[b] = j + 1, j
+            yield tuple(ranks)
+
+
+class TestWalkSumsAgainstReference:
+    """The stability walk's index sum after every step, against module-level ``index``.
+
+    The reference applies the bubble reversal itself and sums ``index``,
+    which counts cliques of an induced subgraph and shares no code with the
+    calculator's per-vertex masks and memo.
+    """
+
+    GRAPHS = [(name, G) for name, G in base_corpus() if G.n <= 10] + [
+        (f"er12_{seed}", erdos_renyi(12, 0.4, seed=seed)) for seed in range(4)
+    ]
+
+    @staticmethod
+    def walk_sums(G, start):
+        calc = IndexCalculator(G)
+        return [calc.index_sum(order) for order in transposition_path(start)]
+
+    @pytest.mark.parametrize("name, G", GRAPHS, ids=[name for name, _ in GRAPHS])
+    def test_every_step(self, name, G):
+        start = random_order(G.n, 11)
+        expected = [sum(index(G, order, x) for x in range(G.n)) for order in _bubble_reversal_orders(start)]
+        assert len(expected) == 1 + G.n * (G.n - 1) // 2
+        assert self.walk_sums(G, start) == expected
