@@ -45,8 +45,10 @@ class Graph:
     Invariants (checked on construction): no self-loops, symmetric
     adjacency, all neighbor ids in ``[0, n)``, each adjacency tuple
     strictly increasing.  Symmetry is checked by transposition: the rows
-    rebuilt from every entry ``u in adj[v]`` must equal ``adj``.
-    ``neighbor_sets`` is built only when ``has_edge`` first needs it.
+    rebuilt from every entry ``u in adj[v]`` must equal ``adj``.  Rows
+    given as lists are stored as tuples once they pass.
+    ``neighbor_sets`` is built only when first needed, by ``has_edge`` or
+    the stability walk.
     """
 
     n: int
@@ -72,6 +74,9 @@ class Graph:
                 prev = u
                 rows[u].append(v)
         if list(map(tuple, rows)) == list(self.adj):
+            # A tuple never equals a list, so every row is already a tuple.
+            if not isinstance(self.adj, tuple):
+                object.__setattr__(self, "adj", tuple(self.adj))
             return
         # Not equal as tuples: find the first one-sided edge in row order
         # (rows given as lists may still be symmetric).
@@ -79,6 +84,9 @@ class Graph:
             for u in nbrs:
                 if v not in self.neighbor_sets[u]:
                     raise ValueError(f"asymmetric edge {v}-{u}")
+        # Symmetric rows given as lists: store tuples, so the graph stays
+        # immutable, hashable and equal to the same graph built from edges.
+        object.__setattr__(self, "adj", tuple(map(tuple, self.adj)))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":

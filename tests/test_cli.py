@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import graphcurvature
-from graphcurvature import percolation
+from graphcurvature import morse, percolation
 from graphcurvature.cli import main
 from graphcurvature.graphs import MAX_PAIRS, MAX_VERTICES, cycle_graph, to_edge_list, to_json
 
@@ -293,9 +293,26 @@ def _table_off_at_vertex_3(fn):
     return wrong
 
 
-def _walk_to_constant_order(fn):
-    # A constant rank tuple leaves every exit set empty: index sum n, not chi.
-    return lambda start: iter([(0,) * len(start)])
+def _no_swaps(fn):
+    """A walk that never leaves its start order, so it does not end at the reversal."""
+    return lambda start: iter(())
+
+
+def _skip_last_swap(fn):
+    return lambda start: iter(list(fn(start))[:-1])
+
+
+def _mirror_swaps(fn):
+    """Reversal by swapping ranks j and n-1-j: it ends at the reversal, but not by consecutive ranks."""
+    def mirror(start):
+        by_rank = sorted(range(len(start)), key=start.__getitem__)
+        return ((by_rank[j], by_rank[-1 - j]) for j in range(len(start) // 2))
+    return mirror
+
+
+def _index_reads_antipode(fn):
+    """Vertex 0's index also reads the rank of its non-neighbour 1."""
+    return lambda self, order, x: fn(self, order, x) + (x == 0 and order[1] < order[0])
 
 
 def _drop_first_host(fn):
@@ -324,7 +341,7 @@ FAULTS = {
                  "octahedron", r"failed at k = \[1\]$"),
     "intermediate": ("morse", "count_cliques", lambda fn: _off_by_one(fn, 2),
                      "octahedron", r"failed rows: \[\w+\(k=1, lhs=8, rhs=9, equal=False\), "),
-    "stability": ("morse", "transposition_path", _walk_to_constant_order,
+    "stability": ("morse", "transposition_swaps", _no_swaps,
                   "octahedron", r"50 orders \+ walk$"),
     "expectation": ("verify", "curvature", _curvature_off_at_vertex_2,
                     "octahedron", r"mismatch at vertices \[2\]$"),
@@ -348,6 +365,18 @@ class TestVerifyFailures:
         assert [(r["suite"], r["name"]) for r in failed] == [(suite, name)]
         assert re.match(detail, failed[0]["detail"]), failed[0]["detail"]
         assert payload["summary"] == {**payload["summary"], "failed": 1, "ok": False}
+
+    @pytest.mark.parametrize("owner, attr, fault", [
+        (morse, "transposition_swaps", _skip_last_swap),
+        (morse, "transposition_swaps", _mirror_swaps),
+        (morse.IndexCalculator, "index", _index_reads_antipode),
+    ], ids=["skipped_swap", "non_consecutive_swap", "non_neighbour_rank"])
+    def test_stability_walk_faults_are_reported(self, capsys, monkeypatch, owner, attr, fault):
+        monkeypatch.setattr(owner, attr, fault(getattr(owner, attr)))
+        code, out = run_cli(capsys, "verify", "octahedron", "--suite", "stability", "--format", "json")
+        assert code == 1
+        failed = [r for r in json.loads(out)["results"] if r["status"] == "FAIL"]
+        assert [(r["name"], r["detail"]) for r in failed] == [("octahedron", "50 orders + walk")]
 
     @pytest.mark.parametrize("fault, detail", [
         (_drop_first_host, r"failed: \[\(0, 'site'\), \(0, 'site', 'host dependence'\), \(0, 'bond'\)"),

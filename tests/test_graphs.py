@@ -77,6 +77,8 @@ class TestValidation:
     def test_symmetric_rows_as_lists_accepted(self, adj):
         G = Graph(3, adj)
         assert G.edges == ((0, 1), (1, 2)) and G.has_edge(2, 1) and not G.has_edge(0, 2)
+        assert G == Graph.from_edges(3, [(0, 1), (1, 2)])
+        assert hash(G) == hash(Graph.from_edges(3, [(0, 1), (1, 2)]))
 
     def test_duplicate_edges_deduplicated(self):
         G = Graph.from_edges(2, [(0, 1), (1, 0), (0, 1)])

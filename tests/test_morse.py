@@ -6,6 +6,7 @@ from math import factorial
 import numpy as np
 import pytest
 
+from graphcurvature import morse
 from graphcurvature.cliques import cliques_by_size_in_mask, count_cliques, euler_characteristic
 from graphcurvature.corpus import base_corpus
 from graphcurvature.graphs import (
@@ -14,6 +15,7 @@ from graphcurvature.graphs import (
     cycle_graph,
     erdos_renyi,
     icosahedron,
+    octahedron,
     path_graph,
     random_tree,
     sphere_masks,
@@ -30,9 +32,11 @@ from graphcurvature.morse import (
     reverse_order,
     symmetric_index,
     transposition_path,
+    transposition_swaps,
     validate_order,
     verify_index_stability,
     verify_intermediate_equations,
+    walk_index_sums,
 )
 
 
@@ -318,6 +322,16 @@ class TestTranspositionPath:
             u, w = moved
             assert {a[u], a[w]} == {b[u], b[w]} and abs(a[u] - a[w]) == 1
 
+    def test_swaps_replay_the_path(self):
+        start = random_order(7, 2)
+        path = list(transposition_path(start))
+        swaps = list(transposition_swaps(start))
+        assert len(swaps) == len(path) - 1
+        for (a, b), before, after in zip(swaps, path, path[1:]):
+            assert before[b] == before[a] + 1 and (after[a], after[b]) == (before[b], before[a])
+        # the reversal swaps every pair of vertices exactly once
+        assert sorted(tuple(sorted(s)) for s in swaps) == [(u, v) for u in range(7) for v in range(u + 1, 7)]
+
     def test_stability(self):
         for G in (cycle_graph(7), complete_graph(5), erdos_renyi(10, 0.5, seed=6)):
             assert verify_index_stability(G, trials=25, seed=3)
@@ -351,14 +365,75 @@ class TestWalkSumsAgainstReference:
         (f"er12_{seed}", erdos_renyi(12, 0.4, seed=seed)) for seed in range(4)
     ]
 
-    @staticmethod
-    def walk_sums(G, start):
-        calc = IndexCalculator(G)
-        return [calc.index_sum(order) for order in transposition_path(start)]
-
     @pytest.mark.parametrize("name, G", GRAPHS, ids=[name for name, _ in GRAPHS])
     def test_every_step(self, name, G):
         start = random_order(G.n, 11)
         expected = [sum(index(G, order, x) for x in range(G.n)) for order in _bubble_reversal_orders(start)]
         assert len(expected) == 1 + G.n * (G.n - 1) // 2
-        assert self.walk_sums(G, start) == expected
+        assert list(walk_index_sums(IndexCalculator(G), start)) == expected
+
+
+class TestStabilityWalk:
+    """The walk's own checks: consecutive ranks, the end order, the end sums."""
+
+    @pytest.mark.parametrize("G", [octahedron(), icosahedron(), erdos_renyi(12, 0.4, seed=1)],
+                             ids=["octahedron", "icosahedron", "er12"])
+    def test_running_sum_follows_a_local_fault(self, monkeypatch, G):
+        """An index that is wrong but still local: the running sum tracks its every change."""
+        original = IndexCalculator.index
+        monkeypatch.setattr(IndexCalculator, "index", lambda self, order, x: original(self, order, x)
+                            + (sum(order[u] < order[x] for u in self.G.adj[x]) == 2))
+        calc = IndexCalculator(G)
+        start = random_order(G.n, 5)
+        expected = [calc.index_sum(order) for order in _bubble_reversal_orders(start)]
+        assert len(set(expected)) > 1
+        assert list(walk_index_sums(calc, start)) == expected
+
+    def test_index_calls_linear_in_n_plus_m(self, monkeypatch):
+        """(trials + 3) n + 2m evaluations: chi, the random orders, both ends, 2 per edge."""
+        G = erdos_renyi(400, 0.02, seed=8)
+        calls = [0]
+        original = IndexCalculator.index
+
+        def counted(self, order, x):
+            calls[0] += 1
+            return original(self, order, x)
+
+        monkeypatch.setattr(IndexCalculator, "index", counted)
+        trials = 5
+        assert verify_index_stability(G, trials=trials, seed=3)
+        assert 0 < calls[0] <= (trials + 3) * G.n + 2 * G.edge_count
+
+    @pytest.mark.parametrize("fault", [
+        lambda swaps: iter(()),
+        lambda swaps: iter(list(swaps)[:-1]),
+    ], ids=["no_swaps", "last_swap_skipped"])
+    def test_walk_not_ending_at_the_reversal_fails(self, monkeypatch, fault):
+        start = random_order(6, 4)
+        real = transposition_swaps
+        monkeypatch.setattr(morse, "transposition_swaps", lambda s: fault(real(s)))
+        with pytest.raises(ValueError, match="do not end at the reversal"):
+            list(walk_index_sums(IndexCalculator(octahedron()), start))
+        assert not verify_index_stability(octahedron(), trials=0, seed=1)
+
+    def test_swap_of_non_consecutive_ranks_fails(self, monkeypatch):
+        # reverse by swapping ranks j and n-1-j: it ends at the reversal, but
+        # its first swap joins ranks 0 and n-1
+        def mirror(start):
+            by_rank = sorted(range(len(start)), key=start.__getitem__)
+            return ((by_rank[j], by_rank[-1 - j]) for j in range(len(start) // 2))
+
+        monkeypatch.setattr(morse, "transposition_swaps", mirror)
+        with pytest.raises(ValueError, match="skips a rank"):
+            list(walk_index_sums(IndexCalculator(octahedron()), random_order(6, 4)))
+        assert not verify_index_stability(octahedron(), trials=0, seed=1)
+
+    def test_index_reading_a_non_neighbour_fails_without_random_orders(self, monkeypatch):
+        """Vertex 0's index also reads its antipode 1: only a from-scratch end sum sees it."""
+        original = IndexCalculator.index
+        monkeypatch.setattr(IndexCalculator, "index", lambda self, order, x:
+                            original(self, order, x) + (x == 0 and order[1] < order[0]))
+        G = octahedron()
+        assert not G.has_edge(0, 1)
+        for seed in range(6):
+            assert not verify_index_stability(G, trials=0, seed=seed)

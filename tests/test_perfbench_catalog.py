@@ -91,3 +91,20 @@ def test_chi_geometric_op_records_every_expected_layer(tracer, workloads, tmp_pa
     by_name = t.totals()[0]
     assert [name for name in wl.expected_layers if not by_name.get(name, [0])[0]] == []
     assert len(set(chis)) == 1 and G.n == 400
+
+
+def test_exact_dense_op_records_every_expected_layer(tracer, workloads, tmp_path):
+    """The verify layers, the stability walk's index evaluations among them."""
+    wl = workloads.WORKLOADS["exact_dense"]
+    ctx = workloads.Context(gc=graphcurvature, cli=cli, seed=3, workers=1, workdir=tmp_path)
+    workloads.dense_inputs(ctx)
+    t = tracer.Tracer()
+    t.install()
+    try:
+        result = wl.op(ctx)
+    finally:
+        t.uninstall()
+    by_name = t.totals()[0]
+    assert [name for name in wl.expected_layers if not by_name.get(name, [0])[0]] == []
+    assert {"morse.verify_index_stability", "morse.index", "morse.IndexCalculator.init"} <= set(wl.expected_layers)
+    assert wl.check(ctx, result) == []
