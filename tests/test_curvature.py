@@ -2,12 +2,15 @@
 
 import json
 from fractions import Fraction
+from itertools import zip_longest
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphcurvature.cliques import (
+    count_cliques,
     count_cliques_in_mask,
     euler_characteristic,
     graph_euler_characteristic,
@@ -176,3 +179,63 @@ class TestTransferEquations:
 def test_gauss_bonnet_property(n, q, seed):
     G = erdos_renyi(n, q, seed=seed)
     assert curvature_field(G).total == graph_euler_characteristic(G)
+
+
+def geometric_torus(n: int, mean_degree: float, seed: int) -> Graph:
+    """Random geometric graph on the unit torus: many triangles and 4-cliques."""
+    pts = np.random.default_rng(seed).random((n, 2))
+    r2 = mean_degree / (np.pi * n)
+    edges = []
+    for i in range(n - 1):
+        d = np.abs(pts[i + 1:] - pts[i])
+        d = np.minimum(d, 1.0 - d)
+        edges.extend((i, j) for j in (np.flatnonzero((d * d).sum(axis=1) < r2) + i + 1).tolist())
+    return Graph.from_edges(n, edges)
+
+
+def relabel(G: Graph, perm: list[int]) -> Graph:
+    """G with vertex v renamed perm[v]."""
+    return Graph.from_edges(G.n, [(perm[u], perm[v]) for u, v in G.edges])
+
+
+def disjoint_union(*graphs: Graph) -> Graph:
+    """The graphs side by side, each shifted past the ones before it."""
+    edges, offset = [], 0
+    for G in graphs:
+        edges.extend((u + offset, v + offset) for u, v in G.edges)
+        offset += G.n
+    return Graph.from_edges(offset, edges)
+
+
+class TestRelabelAndUnion:
+    """Exact relations on a 1500-vertex graph, with no oracle of their own."""
+
+    @pytest.fixture(scope="class")
+    def base(self):
+        G = geometric_torus(1500, 8, seed=5)
+        return G, count_cliques(G), curvature_field(G)
+
+    def test_base_has_higher_cliques(self, base):
+        G, fvector, _ = base
+        assert G.n == 1500 and len(fvector) >= 4 and fvector[2] > 1000
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_relabelling_keeps_fvector_and_permutes_curvature(self, base, seed):
+        G, fvector, field = base
+        perm = np.random.default_rng(seed).permutation(G.n).tolist()
+        H = relabel(G, perm)
+        assert H != G and H.edge_count == G.edge_count
+        assert count_cliques(H) == fvector
+        relabelled = curvature_field(H)
+        assert all(relabelled.values[perm[x]] == field.values[x] for x in range(G.n))
+        assert relabelled.total == field.total == euler_characteristic(fvector)
+
+    def test_disjoint_union_fvectors_add(self, base):
+        G, fvector, field = base
+        parts = (icosahedron(), G, Graph.from_edges(1, []), complete_graph(5), relabel(G, list(range(G.n))[::-1]))
+        U = disjoint_union(*parts)
+        vectors = [count_cliques(P) for P in parts]
+        assert count_cliques(U) == tuple(map(sum, zip_longest(*vectors, fillvalue=0)))
+        values = curvature_field(U).values
+        assert values == sum((curvature_field(P).values for P in parts), ())
+        assert values[12:12 + G.n] == field.values

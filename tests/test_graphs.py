@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from graphcurvature import graphs
 from graphcurvature.graphs import (
+    GENERATOR_KINDS,
     MAX_PAIRS,
     MAX_VERTICES,
     EdgeListParseError,
@@ -107,6 +108,64 @@ class TestValidation:
             erdos_renyi(44722, 0.0, seed=1)
         with pytest.raises(ValueError, match="MAX_PAIRS"):
             generate("erdos_renyi", n=200_000, q=0.0)
+
+
+def assert_revalidates(G: Graph) -> None:
+    """G's rows are tuples and pass the public constructor's checks unchanged."""
+    assert type(G.adj) is tuple and all(type(row) is tuple for row in G.adj)
+    again = Graph(G.n, G.adj)
+    assert again == G and hash(again) == hash(G)
+
+
+class TestTrustedConstruction:
+    """Every graph built without re-validation passes validation as it is."""
+
+    @pytest.mark.parametrize("n, edges", [
+        (0, []),
+        (1, []),
+        (5, []),
+        (3, [(0, 1), (1, 0), (0, 1), (1, 2), (2, 1)]),
+        (6, [(5, 0), (3, 1), (4, 2), (2, 0), (1, 0)]),
+        (7, [(6, 2), (2, 6), (0, 6), (6, 0), (3, 6)]),
+        (4, [[1, 3], (3, 1), [0, 1]]),
+    ], ids=["empty", "one_vertex", "edgeless", "duplicates", "reversed", "isolated_vertices", "list_pairs"])
+    def test_from_edges(self, n, edges):
+        G = Graph.from_edges(n, edges)
+        assert_revalidates(G)
+        assert G.edges == tuple(sorted({(min(u, v), max(u, v)) for u, v in edges}))
+
+    @pytest.mark.parametrize("kind", GENERATOR_KINDS)
+    def test_every_generator(self, kind):
+        for n, seed in ((7, 3), (16, 5)):
+            G = generate(kind, n=n, q=0.4, seed=seed)
+            assert_revalidates(G)
+            assert_revalidates(from_edge_list(to_edge_list(G)))
+            assert_revalidates(from_json(to_json(G)))
+
+    @pytest.mark.parametrize("text", [
+        "n 6\n4 1\n1 4\n0 3\n",
+        "2 0\n0 1\n1 2\n2 1\n",
+        '{"n": 5, "edges": [[3, 0], [0, 3], [4, 1]]}',
+        '{"n": 3, "edges": []}',
+    ])
+    def test_parsed_text(self, text):
+        assert_revalidates(loads(text))
+
+    @pytest.mark.parametrize("vertices", [
+        (), (4,), (8, 1, 5, 1, 8), (3, 3, 3), tuple(range(11, -1, -1)), [10, 0, 7, 7, 2, 9],
+    ])
+    def test_induced_subgraph(self, vertices):
+        G = random_graph(12, 0.5, 7)
+        sub = induced_subgraph(G, vertices)
+        assert_revalidates(sub)
+        assert sub.n == len(set(vertices))
+
+    def test_unit_spheres(self):
+        for G in (icosahedron(), star_graph(6), complete_graph(5), random_graph(20, 0.3, 2)):
+            for x in range(G.n):
+                S, members = unit_sphere(G, x)
+                assert_revalidates(S)
+                assert S.n == len(members) == G.degree(x)
 
 
 class TestEdgeList:
