@@ -1,8 +1,12 @@
 """Finite simple graphs: representation, parsing, subgraphs and generators.
 
-Vertices are dense integer ids 0..n-1. Graphs are immutable after
-construction and validated on construction, so every downstream
-computation may assume a well-formed adjacency structure.
+Vertices are dense integer ids 0..n-1. Graphs are immutable and always
+well formed, so every downstream computation may assume a valid adjacency
+structure. ``Graph(n, adj)`` validates the rows it is given.
+``Graph.from_edges``, and so every parser and generator, checks each edge
+and builds rows that are valid by construction; ``induced_subgraph``, and
+so ``unit_sphere``, derives rows from a graph that is already valid.
+Neither checks its rows again.
 """
 from __future__ import annotations
 
@@ -15,10 +19,11 @@ import numpy as np
 
 VertexSet = tuple[int, ...]
 
-# Graph.from_edges peaks near 315 bytes per isolated vertex (tracemalloc on
-# from_edge_list("n 1000000\n0 1\n")), so a graph at this cap needs about
-# 1.3 GB before any edge; a larger declared count fails before allocating.
-MAX_VERTICES = 4_000_000
+# Graph.from_edges peaks near 64 bytes per isolated vertex, one empty row
+# list and its slot (tracemalloc on from_edge_list("n 1000000\n0 1\n")), so
+# a graph at this cap needs about 1.3 GB before any edge; a larger declared
+# count fails before allocating.
+MAX_VERTICES = 20_000_000
 
 # erdos_renyi draws one uniform per vertex pair, about 7 ns a pair, so a
 # graph at this cap takes about 7 s; a larger one fails before any draw.
@@ -42,11 +47,13 @@ class EdgeListParseError(ValueError):
 class Graph:
     """Simple undirected graph: ``n`` vertices, sorted adjacency tuples.
 
-    Invariants (checked on construction): no self-loops, symmetric
-    adjacency, all neighbor ids in ``[0, n)``, each adjacency tuple
-    strictly increasing.  Symmetry is checked by transposition: the rows
+    Invariants: no self-loops, symmetric adjacency, all neighbor ids in
+    ``[0, n)``, each adjacency tuple strictly increasing.  ``Graph(n, adj)``
+    checks them all; symmetry is checked by transposition: the rows
     rebuilt from every entry ``u in adj[v]`` must equal ``adj``.  Rows
-    given as lists are stored as tuples once they pass.
+    given as lists are stored as tuples once they pass.  ``from_edges``
+    and ``induced_subgraph`` build rows that hold the invariants by
+    construction and skip these checks.
     ``neighbor_sets`` is built only when first needed, by ``has_edge`` or
     the stability walk.
     """
@@ -89,18 +96,43 @@ class Graph:
         object.__setattr__(self, "adj", tuple(map(tuple, self.adj)))
 
     @classmethod
+    def _valid(cls, n: int, adj: tuple[tuple[int, ...], ...]) -> "Graph":
+        """A graph on rows that are valid by construction, stored unchecked.
+
+        The caller guarantees every invariant ``__post_init__`` checks, with
+        ``adj`` and each of its rows a tuple.
+        """
+        G = object.__new__(cls)
+        object.__setattr__(G, "n", n)
+        object.__setattr__(G, "adj", adj)
+        return G
+
+    @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph from undirected edges; duplicates are merged."""
+        """Build a graph from undirected edges; duplicates are merged.
+
+        Each edge is checked here, so the rows need no further validation.
+        """
         _check_vertex_count(n)
-        nbrs: list[set[int]] = [set() for _ in range(n)]
+        rows: list = [[] for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return cls(n, tuple(tuple(sorted(s)) for s in nbrs))
+            rows[u].append(v)
+            rows[v].append(u)
+        # Every edge is in both rows; sorting and merging repeats makes each
+        # row strictly increasing. Rows are replaced one at a time, so the
+        # lists are freed as the tuples are built.
+        for v, row in enumerate(rows):
+            if len(row) > 1:
+                unique = set(row)
+                if len(unique) < len(row):
+                    row = list(unique)
+                row.sort()
+            rows[v] = tuple(row)
+        return cls._valid(n, tuple(rows))
 
     @cached_property
     def neighbor_sets(self) -> tuple[frozenset[int], ...]:
@@ -148,9 +180,10 @@ def induced_subgraph(G: Graph, vertices: Sequence[int]) -> Graph:
         for v in members:
             G._check_vertex(v)
     local = {v: i for i, v in enumerate(members)}
-    # G.adj[v] ascends and local ids keep the order, so each row is sorted.
+    # G is valid, so each row is symmetric, loop-free and in range; G.adj[v]
+    # ascends and local ids keep the order, so each row is strictly sorted.
     adj = tuple([tuple([local[u] for u in G.adj[v] if u in local]) for v in members])
-    return Graph(len(members), adj)
+    return Graph._valid(len(members), adj)
 
 
 def unit_sphere(G: Graph, x: int) -> tuple[Graph, VertexSet]:

@@ -1,6 +1,7 @@
 """Graph construction, parsing, generators, and round-trips."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -166,6 +167,19 @@ class TestTrustedConstruction:
                 S, members = unit_sphere(G, x)
                 assert_revalidates(S)
                 assert S.n == len(members) == G.degree(x)
+
+
+def test_edgeless_graph_needs_under_100_bytes_a_vertex():
+    """One empty row per isolated vertex; MAX_VERTICES is sized on this peak."""
+    n = 200_000
+    tracemalloc.start()
+    try:
+        G = from_edge_list(f"n {n}\n0 1\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert G.n == n and G.edges == ((0, 1),)
+    assert peak < 100 * n
 
 
 class TestEdgeList:
