@@ -19,11 +19,11 @@ import numpy as np
 
 VertexSet = tuple[int, ...]
 
-# Graph.from_edges peaks near 64 bytes per isolated vertex, one empty row
-# list and its slot (tracemalloc on from_edge_list("n 1000000\n0 1\n")), so
-# a graph at this cap needs about 1.3 GB before any edge; a larger declared
-# count fails before allocating.
-MAX_VERTICES = 20_000_000
+# A declared count above this cap fails before anything is allocated. Peak
+# bytes per vertex (tracemalloc at n = 1,000,000): 64 for an edgeless header,
+# 225 to 252 for the path, cycle, star and tree_random generators; at the cap
+# that is 0.64 GB and up to 2.5 GB.
+MAX_VERTICES = 10_000_000
 
 # erdos_renyi draws one uniform per vertex pair, about 7 ns a pair, so a
 # graph at this cap takes about 7 s; a larger one fails before any draw.
@@ -122,6 +122,10 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             rows[u].append(v)
             rows[v].append(u)
+        # With n < 0 every edge is out of range, so a given edge is named
+        # before the count.
+        if n < 0:
+            raise ValueError(f"vertex count must be >= 0, got {n}")
         # Every edge is in both rows; sorting and merging repeats makes each
         # row strictly increasing. Rows are replaced one at a time, so the
         # lists are freed as the tuples are built.

@@ -77,6 +77,13 @@ class TestChi:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: graph JSON")
 
+    def test_negative_json_vertex_count_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text('{"n": -1, "edges": []}')
+        assert main(["chi", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: vertex count must be >= 0, got -1\n"
+
     def test_bad_generator_parameter_names_it(self, capsys):
         code = main(["chi", "erdos_renyi:n=abc"])
         captured = capsys.readouterr()
@@ -540,7 +547,7 @@ TIMED_LIMITED_MAIN = LIMITED_MAIN.replace(
 
 class TestOversizedInput:
     def test_out_of_memory_is_usage_error(self, tmp_path):
-        """A header at the vertex limit asks for about 1.3 GB, which exhausts a
+        """A header at the vertex limit asks for about 0.64 GB, which exhausts a
         512 MiB address space.
 
         The input is never run without the limit.

@@ -1,8 +1,11 @@
 """Curvature values, Gauss-Bonnet, and the transfer equations."""
 
+import importlib.util
 import json
+import sys
 from fractions import Fraction
 from itertools import zip_longest
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +31,7 @@ from graphcurvature.graphs import (
     cycle_graph,
     erdos_renyi,
     icosahedron,
+    loads,
     octahedron,
     path_graph,
     random_tree,
@@ -181,18 +185,6 @@ def test_gauss_bonnet_property(n, q, seed):
     assert curvature_field(G).total == graph_euler_characteristic(G)
 
 
-def geometric_torus(n: int, mean_degree: float, seed: int) -> Graph:
-    """Random geometric graph on the unit torus: many triangles and 4-cliques."""
-    pts = np.random.default_rng(seed).random((n, 2))
-    r2 = mean_degree / (np.pi * n)
-    edges = []
-    for i in range(n - 1):
-        d = np.abs(pts[i + 1:] - pts[i])
-        d = np.minimum(d, 1.0 - d)
-        edges.extend((i, j) for j in (np.flatnonzero((d * d).sum(axis=1) < r2) + i + 1).tolist())
-    return Graph.from_edges(n, edges)
-
-
 def relabel(G: Graph, perm: list[int]) -> Graph:
     """G with vertex v renamed perm[v]."""
     return Graph.from_edges(G.n, [(perm[u], perm[v]) for u, v in G.edges])
@@ -207,12 +199,27 @@ def disjoint_union(*graphs: Graph) -> Graph:
     return Graph.from_edges(offset, edges)
 
 
+def perfbench_inputs():
+    """perfbench/inputs.py, the benchmark's seeded input generators."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name while they are built
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
 class TestRelabelAndUnion:
     """Exact relations on a 1500-vertex graph, with no oracle of their own."""
 
     @pytest.fixture(scope="class")
     def base(self):
-        G = geometric_torus(1500, 8, seed=5)
+        # A random geometric graph on the torus: many triangles and 4-cliques.
+        G = loads(perfbench_inputs().geometric_torus_text(1500, 8, seed=5))
         return G, count_cliques(G), curvature_field(G)
 
     def test_base_has_higher_cliques(self, base):

@@ -75,6 +75,17 @@ class TestValidation:
             Graph(n, adj)
         assert str(excinfo.value) == message
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Graph.from_edges(-1, []), "vertex count must be >= 0, got -1"),
+        (lambda: Graph.from_edges(-1, [(0, 1)]), "edge (0,1) out of range for n=-1"),
+        (lambda: from_json('{"n": -1, "edges": []}'), "vertex count must be >= 0, got -1"),
+        (lambda: Graph(-1, ()), "vertex count must be >= 0, got -1"),
+    ], ids=["from_edges", "from_edges_with_edge", "from_json", "Graph"])
+    def test_negative_vertex_count_rejected(self, build, message):
+        with pytest.raises(ValueError) as excinfo:
+            build()
+        assert str(excinfo.value) == message
+
     @pytest.mark.parametrize("adj", [([1], [0, 2], [1]), [(1,), (0, 2), (1,)], [[1], [0, 2], [1]]])
     def test_symmetric_rows_as_lists_accepted(self, adj):
         G = Graph(3, adj)
@@ -170,7 +181,7 @@ class TestTrustedConstruction:
 
 
 def test_edgeless_graph_needs_under_100_bytes_a_vertex():
-    """One empty row per isolated vertex; MAX_VERTICES is sized on this peak."""
+    """One empty row per isolated vertex; MAX_VERTICES is sized partly on this peak."""
     n = 200_000
     tracemalloc.start()
     try:
