@@ -319,7 +319,7 @@ def cmd_bench(args) -> Output:
         raise ValueError(f"--repetitions must be at least 1, got {args.repetitions}")
     if args.budget_ms < 0:
         raise ValueError(f"--budget-ms must be at least 0, got {args.budget_ms:g}")
-    seeds = [int(s) for s in args.seeds.split(",")]
+    seeds = [parse_number(int, s, "--seeds entry") for s in args.seeds.split(",")]
     rows = []
     chis: dict[int, set[int]] = {}
     for seed in seeds:

@@ -9,10 +9,12 @@ bitmask, and each of its bits is a clique one vertex larger, so a whole
 level is counted by one popcount; the work meter is checked once per
 such level, not once per clique.
 
-``count_cliques`` runs that extension once per vertex v, over v's forward
-neighbourhood (the neighbours above v) as bitmasks at most deg(v) bits
-wide, so it needs O(n + m) memory and never builds the graph's n-bit
-``adjacency_masks``.  One work meter spans all of those runs.
+One walk, ``_forward_walk``, serves the whole graph: per vertex v it gives
+v's forward neighbourhood F(v) (the neighbours above v) and F(v)'s
+adjacency as bitmasks at most deg(v) bits wide, so it needs O(n + m)
+memory and never builds the graph's n-bit ``adjacency_masks``.
+``count_cliques`` counts on it, under one work meter for all vertices;
+``cliques_of_size`` lists one size on it as ascending vertex-id tuples.
 """
 from __future__ import annotations
 
@@ -131,26 +133,15 @@ def count_cliques_in_mask(masks: Sequence[int], candidates: int,
     return tuple(counts)
 
 
-def count_cliques(G: Graph, progress: Callable[[int], None] | None = None) -> FVector:
-    """Exact counts of all complete subgraphs of G, as the f-vector.
+def _forward_walk(G: Graph, least: int):
+    """``(v, F, masks)`` for each vertex v with at least ``least`` neighbours above it.
 
-    Each clique is counted once, from its lowest vertex v: v plus a clique
-    of F(v), v's neighbours above v.  Bit i of local mask j is set when
-    F(v)[i] is a neighbour of F(v)[j] above it, so the masks are at most
-    deg(v) bits wide and memory stays O(n + m).
-
-    Above ``DEFAULT_WORK_BUDGET`` clique visits a RuntimeWarning is emitted
-    once; ``progress`` is called with the running visit count about every
-    ``PROGRESS_INTERVAL`` visits and may raise to abort.  Both see the total
-    over all vertices so far, each vertex counting as one visit.
+    F ascends over those neighbours, and bit i of ``masks[j]`` is set when
+    F[i] is a neighbour of F[j] above it.
     """
-    if G.n == 0:
-        return ()
     forward = [nbrs[bisect_right(nbrs, v):] for v, nbrs in enumerate(G.adj)]
-    counts = [G.n]
-    meter = _WorkMeter(progress, G.n)
-    for F in forward:
-        if not F:
+    for v, F in enumerate(forward):
+        if len(F) < least:
             continue
         bit = {u: 1 << i for i, u in enumerate(F)}
         masks = []
@@ -161,6 +152,25 @@ def count_cliques(G: Graph, progress: Callable[[int], None] | None = None) -> FV
                 if b:
                     m |= b
             masks.append(m)
+        yield v, F, masks
+
+
+def count_cliques(G: Graph, progress: Callable[[int], None] | None = None) -> FVector:
+    """Exact counts of all complete subgraphs of G, as the f-vector.
+
+    Each clique is counted once, from its lowest vertex v: v plus a clique
+    of F(v), v's neighbours above v, counted on ``_forward_walk``'s masks.
+
+    Above ``DEFAULT_WORK_BUDGET`` clique visits a RuntimeWarning is emitted
+    once; ``progress`` is called with the running visit count about every
+    ``PROGRESS_INTERVAL`` visits and may raise to abort.  Both see the total
+    over all vertices so far, each vertex counting as one visit.
+    """
+    if G.n == 0:
+        return ()
+    counts = [G.n]
+    meter = _WorkMeter(progress, G.n)
+    for _, F, masks in _forward_walk(G, 1):
         fvec = count_cliques_in_mask(masks, (1 << len(F)) - 1, meter)
         counts += [0] * (len(fvec) + 1 - len(counts))
         for k, c in enumerate(fvec, 1):
@@ -168,40 +178,35 @@ def count_cliques(G: Graph, progress: Callable[[int], None] | None = None) -> FV
     return tuple(counts)
 
 
-def cliques_of_size(G: Graph, size: int) -> tuple[int, ...]:
-    """All cliques on exactly ``size`` vertices, each as a vertex bitmask."""
+def cliques_of_size(G: Graph, size: int) -> tuple[tuple[int, ...], ...]:
+    """All cliques on exactly ``size`` vertices, each as an ascending vertex-id tuple.
+
+    Rows come in lexicographic order, each listed from its lowest vertex v
+    over ``_forward_walk``'s masks, the walk ``count_cliques`` counts on, so
+    memory is O(n + m) besides the rows. The search stops at depth
+    ``size - 1`` below v and skips any branch with too few candidates left
+    to reach it.
+    """
     if size < 1:
         raise ValueError(f"clique size must be >= 1, got {size}")
-    groups = cliques_by_size_in_mask(G.adjacency_masks, (1 << G.n) - 1, size)
-    return groups[size - 1] if len(groups) >= size else ()
+    rows = []
 
+    # F and masks are those of the vertex the loop below is at.
+    def grow(row: tuple[int, ...], cand: int, depth: int):
+        if not depth:
+            rows.append(row)
+            return
+        while cand:
+            b = cand & -cand
+            cand ^= b
+            i = b.bit_length() - 1
+            sub = cand & masks[i]
+            if sub.bit_count() >= depth - 1:
+                grow(row + (F[i],), sub, depth - 1)
 
-def cliques_by_size_in_mask(masks: Sequence[int], candidates: int,
-                            max_size: int | None = None) -> tuple[tuple[int, ...], ...]:
-    """All cliques within the ``candidates`` bitmask, grouped by dimension.
-
-    Entry k holds the vertex bitmasks of the (k+1)-vertex cliques, in
-    enumeration order.  ``max_size`` caps the clique size listed.
-    """
-    groups: list[list[int]] = []
-    limit = max_size if max_size is not None else len(masks)
-
-    def grow(cand: int, cur: int, size: int):
-        m = cand
-        while m:
-            b = m & -m
-            m ^= b
-            if size > len(groups):
-                groups.append([])
-            groups[size - 1].append(cur | b)
-            if size < limit:
-                sub = m & masks[b.bit_length() - 1]
-                if sub:
-                    grow(sub, cur | b, size + 1)
-
-    if candidates and limit >= 1:
-        grow(candidates, 0, 1)
-    return tuple(tuple(g) for g in groups)
+    for v, F, masks in _forward_walk(G, size - 1):
+        grow((v,), (1 << len(F)) - 1, size - 1)
+    return tuple(rows)
 
 
 def euler_characteristic(fvector: Sequence[int]) -> int:

@@ -76,13 +76,7 @@ def _clique_events(G: Graph, k: int, mode: str) -> np.ndarray:
     is exactly v_k of the decimated graph since decimation cannot create
     cliques.
     """
-    cliques = []
-    for m in cliques_of_size(G, k + 1):
-        verts = []
-        while m:
-            verts.append((m & -m).bit_length() - 1)
-            m &= m - 1
-        cliques.append(verts)
+    cliques = cliques_of_size(G, k + 1)
     if mode == "bond":
         edge_index = {e: i for i, e in enumerate(G.edges)}
         cliques = [[edge_index[e] for e in combinations(c, 2)] for c in cliques]

@@ -441,6 +441,12 @@ class TestBench:
         assert code == 2 and captured.out == ""
         assert "error: --budget-ms must be at least 0, got -1" in captured.err
 
+    def test_non_integer_seed_names_the_option(self, capsys):
+        code = main(["bench", "--n", "5", "--seeds", "1,x"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: --seeds entry must be an integer, got 'x'\n"
+
     def test_empty_graph_rows(self, capsys):
         code, out = run_cli(capsys, "bench", "--n", "0", "--q", "0.5")
         assert code == 0 and len(out.strip().splitlines()) == 4
@@ -591,6 +597,32 @@ class TestOversizedInput:
                               capture_output=True, text=True, env=env, timeout=300)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr == f"error: vertex count 300000000 exceeds the limit MAX_VERTICES = {MAX_VERTICES}\n"
+        assert float(proc.stdout) < 1.0
+
+    def test_percolation_hosts_fit_in_linear_memory(self):
+        """A 200000-vertex path's 199999 edges are listed as host cliques in the
+        same 512 MiB address space; whole-graph n-bit masks would need about 2.5 GB."""
+        pytest.importorskip("resource")
+        env = {**CHILD_ENV, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        proc = subprocess.run([sys.executable, "-c", LIMITED_MAIN, str(1 << 29), "percolation", "path:n=200000",
+                               "--k", "1", "--trials", "3", "--format", "json"],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["summary"]["host_count"] == 199999
+
+    def test_percolation_past_the_clique_number_fails_fast(self):
+        """K_26 has no 31-clique; the lister stops before descending, instead of
+        listing all 2^26 cliques of K_26 first.
+
+        Same 512 MiB address-space limit.
+        """
+        pytest.importorskip("resource")
+        env = {**CHILD_ENV, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        proc = subprocess.run([sys.executable, "-c", TIMED_LIMITED_MAIN, str(1 << 29), "percolation",
+                               "complete:n=26", "--k", "30"],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == "error: host graph has no 30-simplices to decimate\n"
         assert float(proc.stdout) < 1.0
 
     def test_erdos_renyi_pair_count_over_the_limit_fails_fast(self):

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from graphcurvature import cliques
 from graphcurvature.cliques import (
     PROGRESS_INTERVAL,
-    cliques_by_size_in_mask,
     cliques_of_size,
     count_cliques,
     count_cliques_in_mask,
@@ -26,10 +25,12 @@ from graphcurvature.graphs import (
     cycle_graph,
     erdos_renyi,
     icosahedron,
+    loads,
     octahedron,
     path_graph,
     star_graph,
 )
+from test_curvature import perfbench_inputs
 
 
 def brute_force_fvector(G, max_size=None):
@@ -261,36 +262,60 @@ class TestMaskEnumeration:
             got = count_cliques_in_mask(masks, subset_mask)
             assert got == count_cliques(induced_subgraph(G, vertices))
 
-    def test_cliques_by_size_groups(self):
-        G = complete_graph(4)
-        groups = cliques_by_size_in_mask(G.adjacency_masks, 0b1111)
-        assert tuple(len(g) for g in groups) == (4, 6, 4, 1)
-        # each recorded mask really is a clique of the right size
-        for k, masks in enumerate(groups):
-            for m in masks:
-                vs = [v for v in range(4) if m >> v & 1]
-                assert len(vs) == k + 1
-        # a cap lists the same cliques up to that size, in the same order
-        for cap in (1, 2, 3):
-            assert cliques_by_size_in_mask(G.adjacency_masks, 0b1111, cap) == groups[:cap]
-        assert cliques_by_size_in_mask(G.adjacency_masks, 0b1111, 0) == ()
-
     def test_cliques_of_size(self):
         G = octahedron()
         triangles = cliques_of_size(G, 3)
         assert len(triangles) == 8
         assert cliques_of_size(G, 4) == ()
-        assert len(cliques_of_size(G, 1)) == 6
+        assert cliques_of_size(G, 1) == tuple((v,) for v in range(6))
+        assert [len(cliques_of_size(complete_graph(4), s)) for s in range(1, 6)] == [4, 6, 4, 1, 0]
         G = erdos_renyi(12, 0.5, seed=3)
         for size in range(1, 7):
             oracle = [
-                sum(1 << v for v in sub)
+                sub
                 for sub in combinations(range(G.n), size)
                 if all(G.has_edge(u, v) for u, v in combinations(sub, 2))
             ]
-            assert sorted(cliques_of_size(G, size)) == sorted(oracle)
+            rows = cliques_of_size(G, size)
+            assert all(list(row) == sorted(set(row)) for row in rows)
+            assert sorted(rows) == sorted(oracle)
         with pytest.raises(ValueError):
             cliques_of_size(G, 0)
+
+    def test_listing_builds_no_whole_graph_masks(self):
+        G = erdos_renyi(40, 0.3, seed=2)
+        assert len(cliques_of_size(G, 3)) == count_cliques(G)[2]
+        assert "adjacency_masks" not in vars(G)
+
+
+class TestListingAtScale:
+    """``cliques_of_size`` on the 1500-vertex geometric graph of
+    ``tests/test_curvature.py::TestRelabelAndUnion``, against the benchmark's
+    own clique counter, which shares no code with the package."""
+
+    @pytest.fixture(scope="class")
+    def base(self):
+        inputs = perfbench_inputs()
+        text = inputs.geometric_torus_text(1500, 8, seed=5)
+        return loads(text), inputs.fvector(*inputs.parse_edges(text))
+
+    def test_every_size_matches_the_independent_count(self, base):
+        G, fvector = base
+        assert len(fvector) >= 4
+        for size in range(1, len(fvector) + 2):
+            rows = cliques_of_size(G, size)
+            assert len(rows) == (fvector[size - 1] if size <= len(fvector) else 0)
+            assert list(rows) == sorted(set(rows))  # distinct, in lexicographic order
+            assert all(len(row) == size and list(row) == sorted(set(row)) for row in rows)
+        assert cliques_of_size(G, len(fvector) + 1) == ()
+
+    def test_sampled_rows_are_cliques(self, base):
+        G, fvector = base
+        rng = random.Random(1500)
+        for size in range(2, len(fvector) + 1):
+            rows = cliques_of_size(G, size)
+            for row in rng.sample(rows, min(200, len(rows))):
+                assert all(G.has_edge(u, v) for u, v in combinations(row, 2)), row
 
 
 class TestEuler:

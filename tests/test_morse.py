@@ -1,13 +1,14 @@
 """Indices, Poincare-Hopf, intermediate equations, and index stability."""
 
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 
 import numpy as np
 import pytest
 
 from graphcurvature import morse
-from graphcurvature.cliques import cliques_by_size_in_mask, count_cliques, euler_characteristic
+from graphcurvature.cliques import count_cliques, euler_characteristic
 from graphcurvature.corpus import base_corpus
 from graphcurvature.graphs import (
     Graph,
@@ -242,15 +243,21 @@ class TestCliqueSplit:
 
     @staticmethod
     def listed_split(G, order, x):
-        """(V^-, V^+, W) by classifying every listed sphere clique."""
+        """(V^-, V^+, W) by classifying every sphere clique, listed by brute force
+        over subsets of the sphere with pairwise mask checks."""
         masks = sphere_masks(G, x)
-        below = sum(1 << i for i, u in enumerate(G.adj[x]) if order[u] < order[x])
-        groups = cliques_by_size_in_mask(masks, (1 << len(masks)) - 1)
-        split = ([0] * len(groups), [0] * len(groups), [0] * len(groups))
-        for k, cliques in enumerate(groups):
-            for cm in cliques:
-                side = 0 if cm & below == cm else 1 if cm & below == 0 else 2
-                split[side][k] += 1
+        below = {i for i, u in enumerate(G.adj[x]) if order[u] < order[x]}
+        split = ([], [], [])
+        for size in range(1, len(masks) + 1):
+            counts = [0, 0, 0]
+            for sub in combinations(range(len(masks)), size):
+                if all(masks[a] >> b & 1 for a, b in combinations(sub, 2)):
+                    inside = len(below.intersection(sub))
+                    counts[0 if inside == size else 1 if inside == 0 else 2] += 1
+            if not any(counts):
+                break  # no clique of this size, so none larger
+            for side, c in zip(split, counts):
+                side.append(c)
         return tuple(tuple(counts) for counts in split)
 
     def test_counts_match_listed_cliques(self):
