@@ -39,6 +39,7 @@ from graphcurvature.graphs import (
 )
 from graphcurvature.morse import IndexCalculator, all_orders
 from graphcurvature.trials import TrialPlan, mean_and_stderr
+from test_trials import reference_trial_rng
 
 
 class TestExactOracle:
@@ -299,7 +300,7 @@ def reference_expectation(G, samples, seed, vertices):
     """(estimate, stderr) per target, one trial and one vertex at a time.
 
     An independent copy of the engine: trial t ranks the vertices by
-    ``default_rng(SeedSequence((seed, t))).permutation(n)`` and each index
+    ``reference_trial_rng(seed, t).permutation(n)`` and each index
     comes from the module-level ``morse.index``, which rebuilds the exit
     subgraph and counts its cliques afresh.
     """
@@ -307,7 +308,7 @@ def reference_expectation(G, samples, seed, vertices):
     sums = [0] * len(targets)
     squares = [0] * len(targets)
     for t in range(samples):
-        order = np.random.default_rng(np.random.SeedSequence((seed, t))).permutation(G.n).tolist()
+        order = reference_trial_rng(seed, t).permutation(G.n).tolist()
         for j, x in enumerate(targets):
             i = morse.index(G, order, x)
             sums[j] += i

@@ -25,7 +25,8 @@ from graphcurvature.percolation import (
     survival_exponent,
     survival_grid,
 )
-from graphcurvature.trials import TrialPlan, mean_and_stderr
+from graphcurvature.trials import mean_and_stderr
+from test_trials import reference_trial_rng
 
 
 def vk(G: Graph, k: int) -> int:
@@ -209,9 +210,9 @@ def reference_survival(G: Graph, k: int, n_trials: int, seed: int, mode: str, fi
     """Summary (estimate, stderr) and every trial's row, one trial at a time.
 
     An independent copy of the per-trial engine: trial t draws from
-    ``trial_rng(t)`` its p (unless fixed), then one uniform per vertex
-    (site) or edge (bond); a host clique survives iff every event in its
-    bitmask is kept.
+    ``reference_trial_rng(seed, t)`` its p (unless fixed), then one uniform
+    per vertex (site) or edge (bond); a host clique survives iff every event
+    in its bitmask is kept.
     """
     cliques = [c for c in combinations(range(G.n), k + 1)
                if all(v in G.adj[u] for u, v in combinations(c, 2))]
@@ -221,11 +222,10 @@ def reference_survival(G: Graph, k: int, n_trials: int, seed: int, mode: str, fi
         edge_id = {e: i for i, e in enumerate(G.edges)}
         masks = [sum(1 << edge_id[e] for e in combinations(c, 2)) for c in cliques]
         n_events = len(G.edges)
-    plan = TrialPlan(samples=n_trials, master_seed=seed)
     total = total_sq = 0
     rows = []
     for t in range(n_trials):
-        rng = plan.trial_rng(t)
+        rng = reference_trial_rng(seed, t)
         p = fixed_p if fixed_p is not None else float(rng.random())
         kept = sum(1 << int(i) for i, r in enumerate(rng.random(n_events)) if r < p)
         s = sum(1 for m in masks if m & kept == m)

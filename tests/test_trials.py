@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.random.bit_generator import ISeedSequence
 
 from graphcurvature.expectation import mc_index_expectation
 from graphcurvature.graphs import icosahedron, octahedron
@@ -28,11 +29,36 @@ class TestTrialRng:
         assert x != y
 
 
+class _PhiloxRow(ISeedSequence):
+    """Hands PCG64 the four Philox words it is seeded with."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        assert (n_words, np.dtype(dtype)) == (4, np.uint64)
+        return self.words
+
+
+def reference_trial_rng(seed, t):
+    """Trial t's generator, from its own Philox counter.
+
+    Trials come in blocks of 4096; trial t's PCG64 seed is the first four
+    words that a Philox keyed by seed draws from counter
+    ``(t // 4096 << 64) + t % 4096``: one trial at a time here, where the
+    engine draws a whole block at once.
+    """
+    words = np.random.Philox(seed, counter=(t // 4096 << 64) + t % 4096).random_raw(4)
+    return np.random.Generator(np.random.PCG64(_PhiloxRow(words)))
+
+
 class TestSeedSequenceOracle:
-    """trial_rng(t) is numpy's default_rng(SeedSequence((master_seed, t))), bit for bit.
+    """trial_rng(t) equals reference_trial_rng(seed, t), bit for bit.
+
+    The reference seeds PCG64 through its own seed sequence, _PhiloxRow.
 
     The seeds span one to five 32-bit words and the trial indices cross
-    block edges and the 32-bit boundary, where t gains a second word.
+    block edges and the 32-bit boundary.
     """
 
     SEEDS = (0, 1, DEFAULT_SEED, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 3)
@@ -43,7 +69,7 @@ class TestSeedSequenceOracle:
         plan = TrialPlan(samples=1, master_seed=seed)
         for t in self.TRIALS:
             got = plan.trial_rng(t)
-            want = np.random.default_rng(np.random.SeedSequence((seed, t)))
+            want = reference_trial_rng(seed, t)
             assert got.bit_generator.state == want.bit_generator.state, (seed, t)
             assert got.random(8).tolist() == want.random(8).tolist(), (seed, t)
 
