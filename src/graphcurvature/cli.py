@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -61,7 +62,9 @@ def parse_generator_spec(spec: str) -> Graph:
         key, sep, value = item.partition("=")
         if not sep:
             raise ValueError(f"bad generator parameter {item!r}, expected key=value")
-        params[key.strip()] = value.strip()
+        if (key := key.strip()) in params:
+            raise ValueError(f"generator parameter {key} given twice in {spec!r}")
+        params[key] = value.strip()
     n = parse_number(int, params.pop("n"), "generator parameter n") if "n" in params else None
     q = parse_number(float, params.pop("q"), "generator parameter q") if "q" in params else None
     seed = parse_number(int, params.pop("seed"), "generator parameter seed") if "seed" in params else 0
@@ -319,6 +322,8 @@ def cmd_bench(args) -> Output:
         raise ValueError(f"--repetitions must be at least 1, got {args.repetitions}")
     if args.budget_ms < 0:
         raise ValueError(f"--budget-ms must be at least 0, got {args.budget_ms:g}")
+    if not math.isfinite(args.budget_ms):
+        raise ValueError(f"--budget-ms must be finite, got {args.budget_ms:g}")
     seeds = [parse_number(int, s, "--seeds entry") for s in args.seeds.split(",")]
     rows = []
     chis: dict[int, set[int]] = {}

@@ -13,6 +13,7 @@ import pytest
 import graphcurvature
 from graphcurvature import morse, percolation
 from graphcurvature.cli import main
+from graphcurvature.cliques import MAX_CLIQUE_ROWS
 from graphcurvature.graphs import MAX_PAIRS, MAX_VERTICES, cycle_graph, to_edge_list, to_json
 
 
@@ -50,6 +51,12 @@ class TestGenerate:
         assert run_cli(capsys, "generate", "cycle:n=two")[0] == 2
         assert run_cli(capsys, "generate", "cycle:m=4")[0] == 2
         assert run_cli(capsys, "generate", "no/such/file.txt")[0] == 2
+
+    def test_repeated_parameter_is_usage_error(self, capsys):
+        code = main(["generate", "cycle:n=3,n=4"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: generator parameter n given twice in 'cycle:n=3,n=4'\n"
 
 
 class TestChi:
@@ -441,6 +448,13 @@ class TestBench:
         assert code == 2 and captured.out == ""
         assert "error: --budget-ms must be at least 0, got -1" in captured.err
 
+    @pytest.mark.parametrize("budget", ["nan", "inf"])
+    def test_non_finite_budget_is_usage_error(self, capsys, budget):
+        code = main(["bench", "--n", "10", "--budget-ms", budget])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: --budget-ms must be finite, got {budget}\n"
+
     def test_non_integer_seed_names_the_option(self, capsys):
         code = main(["bench", "--n", "5", "--seeds", "1,x"])
         captured = capsys.readouterr()
@@ -623,6 +637,22 @@ class TestOversizedInput:
                               capture_output=True, text=True, env=env, timeout=300)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr == "error: host graph has no 30-simplices to decimate\n"
+        assert float(proc.stdout) < 1.0
+
+    def test_percolation_hosts_over_the_row_limit_fail_fast(self):
+        """K_26 has 10,400,600 13-cliques; the lister stops at MAX_CLIQUE_ROWS
+        instead of listing them all first.
+
+        Same 512 MiB address-space limit.
+        """
+        pytest.importorskip("resource")
+        env = {**CHILD_ENV, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        proc = subprocess.run([sys.executable, "-c", TIMED_LIMITED_MAIN, str(1 << 29), "percolation",
+                               "complete:n=26", "--k", "12", "--trials", "1"],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == (f"error: more than MAX_CLIQUE_ROWS = {MAX_CLIQUE_ROWS} cliques "
+                               "on 13 vertices to list\n")
         assert float(proc.stdout) < 1.0
 
     def test_erdos_renyi_pair_count_over_the_limit_fails_fast(self):
