@@ -19,15 +19,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 from operator import mul
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .cliques import IdentityCheck, count_cliques_in_mask
 from .curvature import curvature
 from .graphs import Graph, sphere_masks
 from .morse import IndexCalculator, all_orders
 from .trials import TrialPlan, mean_and_stderr, sum_vectors
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class DegreeCapError(ValueError):
@@ -91,6 +92,7 @@ def _subset_tables(G: Graph, x: int) -> tuple[tuple[int, ...], np.ndarray, np.nd
     For a subset A of S(x) with highest vertex v, ``split[A]`` is
     N(v) & (A - v); ``split[0]`` is 0.
     """
+    import numpy as np
     d = _check_degree(G, x, MAX_SUBSET_DEGREE, f"{MAX_SUBSET_DEGREE} limit for subset tables")
     masks = sphere_masks(G, x)
     pop = np.zeros(1 << d, dtype=np.uint8)
@@ -104,6 +106,7 @@ def _subset_tables(G: Graph, x: int) -> tuple[tuple[int, ...], np.ndarray, np.nd
 
 def _sums_by_size(pop: np.ndarray, table: np.ndarray) -> tuple[int, ...]:
     """Exact sums of ``table`` over the subsets of each size, as Python ints."""
+    import numpy as np
     out = np.zeros(int(pop[-1]) + 1, dtype=np.int64)  # pop[-1] = d
     for start in range(0, len(pop), _CHUNK):
         chunk = slice(start, start + _CHUNK)
@@ -122,6 +125,7 @@ def chi_by_subset_size(G: Graph, x: int) -> tuple[int, ...]:
     int32 table is exact up to degree ``MAX_SUBSET_DEGREE``; above it
     DegreeCapError is raised before anything is allocated.
     """
+    import numpy as np
     _, pop, split = _subset_tables(G, x)
     chi = np.zeros(len(pop), dtype=np.int32)
     below = np.empty(min(len(pop), _CHUNK), dtype=np.int32)
@@ -177,6 +181,7 @@ def clique_counts_by_subset_size(G: Graph, x: int) -> tuple[tuple[int, ...], ...
     ``MAX_SUBSET_DEGREE``; above it DegreeCapError is raised before
     anything is allocated.
     """
+    import numpy as np
     masks, pop, split = _subset_tables(G, x)
     d = len(masks)
     kmax = len(count_cliques_in_mask(masks, len(pop) - 1))

@@ -10,12 +10,11 @@ Neither checks its rows again.
 """
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
-
-import numpy as np
 
 VertexSet = tuple[int, ...]
 
@@ -114,28 +113,36 @@ class Graph:
         Each edge is checked here, so the rows need no further validation.
         """
         _check_vertex_count(n)
-        rows: list = [[] for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            rows[u].append(v)
-            rows[v].append(u)
-        # With n < 0 every edge is out of range, so a given edge is named
-        # before the count.
-        if n < 0:
-            raise ValueError(f"vertex count must be >= 0, got {n}")
-        # Every edge is in both rows; sorting and merging repeats makes each
-        # row strictly increasing. Rows are replaced one at a time, so the
-        # lists are freed as the tuples are built.
-        for v, row in enumerate(rows):
-            if len(row) > 1:
-                unique = set(row)
-                if len(unique) < len(row):
-                    row = list(unique)
-                row.sort()
-            rows[v] = tuple(row)
+        # The collector tracks every row, so at a large n it would run again
+        # and again over rows that hold no cycle; it is paused while they are built.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            rows: list = [[] for _ in range(n)]
+            for u, v in edges:
+                if not (0 <= u < n and 0 <= v < n):
+                    raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+                if u == v:
+                    raise ValueError(f"self-loop at vertex {u}")
+                rows[u].append(v)
+                rows[v].append(u)
+            # With n < 0 every edge is out of range, so a given edge is named
+            # before the count.
+            if n < 0:
+                raise ValueError(f"vertex count must be >= 0, got {n}")
+            # Every edge is in both rows; sorting and merging repeats makes
+            # each row strictly increasing. Rows are replaced one at a time,
+            # so the lists are freed as the tuples are built.
+            for v, row in enumerate(rows):
+                if len(row) > 1:
+                    unique = set(row)
+                    if len(unique) < len(row):
+                        row = list(unique)
+                    row.sort()
+                rows[v] = tuple(row)
+        finally:
+            if collecting:
+                gc.enable()
         return cls._valid(n, tuple(rows))
 
     @cached_property
@@ -361,6 +368,7 @@ def random_tree(n: int, seed: int) -> Graph:
     """Random recursive tree: vertex v >= 1 attaches to a uniform earlier vertex."""
     if n < 1:
         raise ValueError(f"tree needs n >= 1, got {n}")
+    import numpy as np
     rng = np.random.default_rng(seed)
     edges = [(int(rng.integers(0, v)), v) for v in range(1, n)]
     return Graph.from_edges(n, edges)
@@ -375,6 +383,7 @@ def erdos_renyi(n: int, q: float, seed: int) -> Graph:
     if n * (n - 1) // 2 > MAX_PAIRS:
         raise ValueError(f"erdos_renyi on {n} vertices draws {n * (n - 1) // 2} vertex pairs, "
                          f"above the limit MAX_PAIRS = {MAX_PAIRS}")
+    import numpy as np
     rng = np.random.default_rng(seed)
     # Row i draws for the pairs (i, i+1), ..., (i, n-1): the same stream, in
     # the same order, as one draw for all n(n-1)/2 pairs, in O(n + m) memory.

@@ -12,9 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .cliques import (
     IdentityCheck,
@@ -23,6 +21,9 @@ from .cliques import (
     euler_characteristic,
 )
 from .graphs import Graph, induced_subgraph, sphere_masks
+
+if TYPE_CHECKING:
+    import numpy as np
 
 VertexOrder = tuple[int, ...]
 
@@ -37,6 +38,7 @@ def validate_order(order: Sequence[int], n: int) -> VertexOrder:
 
 def random_order(n: int, rng: np.random.Generator | int | None = None) -> VertexOrder:
     """Uniform random rank permutation on n vertices."""
+    import numpy as np
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     return tuple(int(r) for r in rng.permutation(n))
@@ -315,6 +317,7 @@ def verify_index_stability(G: Graph, trials: int = 20, seed: int = 0) -> bool:
     ends of the walk; a step re-evaluates only the indices it can change
     (``walk_index_sums``), so the walk costs O(1) index work per swap.
     """
+    import numpy as np
     calc = IndexCalculator(G)
     rng = np.random.default_rng(seed)
     chi = calc.index_sum(tuple(range(G.n)))

@@ -16,15 +16,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .cliques import cliques_of_size
 from .graphs import Graph
 from .trials import DEFAULT_SEED, TrialPlan, mean_and_stderr, sum_vectors
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MODES = ("site", "bond")
 _BLOCK_BYTES = 1 << 18  # budget for one block's uniforms, gathered event uniforms and survival flags
@@ -76,11 +76,21 @@ def _clique_events(G: Graph, k: int, mode: str) -> np.ndarray:
     is exactly v_k of the decimated graph since decimation cannot create
     cliques.
     """
+    import numpy as np
     cliques = cliques_of_size(G, k + 1)
-    if mode == "bond":
-        edge_index = {e: i for i, e in enumerate(G.edges)}
-        cliques = [[edge_index[e] for e in combinations(c, 2)] for c in cliques]
-    return np.array(cliques, dtype=np.intp).reshape(len(cliques), survival_exponent(k, mode))
+    sites = np.array(cliques, dtype=np.intp).reshape(len(cliques), k + 1)
+    if mode == "site":
+        return sites
+    # Edge (u, v) has key u * n + v. G.edges is sorted, so a binary search of
+    # the keys finds each pair's id; chunks of rows keep the pair keys small.
+    keys = np.array([u * G.n + v for u, v in G.edges], dtype=np.intp)
+    i, j = np.triu_indices(k + 1, 1)  # the pairs of a row, in combinations order
+    bonds = np.empty((len(sites), len(i)), dtype=np.intp)
+    step = max(1, _BLOCK_BYTES // (8 * len(i) + 1))
+    for lo in range(0, len(sites), step):
+        rows = sites[lo:lo + step]
+        bonds[lo:lo + step] = np.searchsorted(keys, rows[:, i] * G.n + rows[:, j])
+    return bonds
 
 
 @dataclass(frozen=True)
@@ -129,6 +139,7 @@ def _survival_pass(G: Graph, k: int, trials: int, seed: int, mode: str, workers:
     (bond). A host clique survives at p iff the largest of its events'
     uniforms lies below p, so one gather scores every point of the grid.
     """
+    import numpy as np
     exponent = survival_exponent(k, mode)
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")

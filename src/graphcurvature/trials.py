@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence, TypeVar
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_SEED = 271828
 CHUNK_TRIALS = 20_000
@@ -49,7 +50,8 @@ class TrialPlan:
         keyed by master_seed that starts at counter ``(t // SEED_BLOCK) << 64``.
         """
         state = _seed_block(self.master_seed, t // SEED_BLOCK)[t % SEED_BLOCK]
-        return np.random.Generator(np.random.PCG64(_seed_row_class()(state)))
+        seed_row, pcg64, generator = _seed_row_class()
+        return generator(pcg64(seed_row(state)))
 
     def chunks(self) -> Iterator[range]:
         """Consecutive trial index ranges of at most CHUNK_TRIALS trials."""
@@ -79,19 +81,23 @@ def _seed_block(master_seed: int, block: int) -> np.ndarray:
     """
     if block < 0:
         raise ValueError("expected non-negative integer")
-    philox = np.random.Philox(master_seed, counter=block << 64)
+    from numpy.random import Philox
+    philox = Philox(master_seed, counter=block << 64)
     seeds = philox.random_raw(4 * SEED_BLOCK).reshape(SEED_BLOCK, 4)
     seeds.flags.writeable = False  # the cache hands the same array to every caller
     return seeds
 
 
 @lru_cache(maxsize=None)
-def _seed_row_class() -> type:
-    """The seed sequence PCG64 is given: one row of a seed block.
+def _seed_row_class() -> tuple[type, type, type]:
+    """SeedRow, PCG64 and Generator, the classes ``trial_rng`` builds from.
 
-    Built on first use, so that importing this module does not import
-    numpy.random.
+    SeedRow is the seed sequence PCG64 is given: one row of a seed block.
+    All three are made on first use, so that importing this module does not
+    import numpy, and cached, so that a trial runs no import statement.
     """
+    import numpy as np
+    from numpy.random import PCG64, Generator
     from numpy.random.bit_generator import ISeedSequence
 
     class SeedRow(ISeedSequence):
@@ -103,7 +109,7 @@ def _seed_row_class() -> type:
         def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
             return self.state  # PCG64 asks only for generate_state(4, np.uint64)
 
-    return SeedRow
+    return SeedRow, PCG64, Generator
 
 
 def mean_and_stderr(total: int, total_sq: int, samples: int) -> tuple[float, float | None]:

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .cliques import count_cliques, euler_characteristic
 from .curvature import curvature, verify_gauss_bonnet, verify_transfer_equations
 from .expectation import exact_index_expectation, verify_averaging_equation
@@ -121,6 +119,7 @@ def gauss_bonnet_suite(graphs: Sequence[NamedGraph]) -> list[CheckResult]:
 
 def poincare_hopf_suite(graphs: Sequence[NamedGraph], seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Index sums of random orders all equal the clique-route chi."""
+    import numpy as np
     def check(G):
         chi = euler_characteristic(count_cliques(G))
         calc = IndexCalculator(G)
@@ -143,6 +142,7 @@ def transfer_suite(graphs: Sequence[NamedGraph]) -> list[CheckResult]:
 
 def intermediate_suite(graphs: Sequence[NamedGraph], seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """sum_x W_k(x) = k v_{k+1} for random orders."""
+    import numpy as np
     def check(G):
         rng = np.random.default_rng(seed)
         calc = IndexCalculator(G)

@@ -1,5 +1,6 @@
 """Graph construction, parsing, generators, and round-trips."""
 
+import gc
 import json
 import tracemalloc
 
@@ -191,6 +192,36 @@ def test_edgeless_graph_needs_under_100_bytes_a_vertex():
         tracemalloc.stop()
     assert G.n == n and G.edges == ((0, 1),)
     assert peak < 100 * n
+
+
+def test_large_header_parses_without_collections():
+    """The collector is paused while the rows are built, and left as it was."""
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.callbacks.append(count)
+    try:
+        G = from_edge_list("n 1000000\n0 1\n")
+    finally:
+        gc.callbacks.remove(count)
+    assert G.n == 1_000_000 and G.edges == ((0, 1),)
+    assert len(starts) < 10
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        Graph.from_edges(3, [(0, 1)])
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_collector_resumes_after_a_bad_edge():
+    with pytest.raises(ValueError, match="out of range"):
+        Graph.from_edges(3, [(0, 1), (0, 5)])
+    assert gc.isenabled()
 
 
 class TestEdgeList:

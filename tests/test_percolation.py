@@ -7,7 +7,7 @@ from math import comb, factorial
 import pytest
 
 from graphcurvature import percolation, trials
-from graphcurvature.cliques import count_cliques
+from graphcurvature.cliques import cliques_of_size, count_cliques
 from graphcurvature.graphs import (
     Graph,
     complete_graph,
@@ -123,6 +123,34 @@ class TestExactPolynomial:
             survival_exponent(-1, "site")
         with pytest.raises(ValueError):
             survival_exponent(1, "node")
+
+
+def bond_events_oracle(G: Graph, k: int) -> list[list[int]]:
+    """Edge ids of each host clique's pairs, through a dict of G.edges."""
+    edge_index = {e: i for i, e in enumerate(G.edges)}
+    return [[edge_index[e] for e in combinations(c, 2)] for c in cliques_of_size(G, k + 1)]
+
+
+class TestBondEvents:
+    """Bond event ids equal a per-pair dict lookup, row for row."""
+
+    def check(self, G: Graph, k: int):
+        events = percolation._clique_events(G, k, "bond")
+        expected = bond_events_oracle(G, k)
+        assert events.shape == (len(expected), comb(k + 1, 2))
+        assert events.tolist() == expected
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_corpus(self, corpus, k):
+        for _, G in corpus:
+            self.check(G, k)
+
+    def test_complete_graph_at_k7(self):
+        self.check(complete_graph(12), 7)
+
+    @pytest.mark.parametrize("k", range(3))
+    def test_edgeless_graph(self, k):
+        self.check(Graph.from_edges(5, []), k)
 
 
 class TestBruteForceOracle:
