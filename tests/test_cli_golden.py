@@ -42,6 +42,10 @@ CASES = {
         "--exact", "--permutation-oracle",
     ],
     "expectation": ["expectation", "icosahedron", "--samples", "200", "--seed", "2"],
+    # The hub has degree 5, above the cap: a blank exact cell and no exact key.
+    "expectation_capped": [
+        "expectation", "star:n=6", "--samples", "50", "--seed", "1", "--exact", "--degree-cap", "3",
+    ],
     "percolation": ["percolation", "icosahedron", "--k", "1", "--trials", "500", "--seed", "8"],
     "percolation_rows": [
         "percolation", "complete:n=5", "--k", "2", "--trials", "50", "--seed", "2", "--rows", "3",
