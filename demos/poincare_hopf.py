@@ -9,6 +9,7 @@ whatever the order. The symmetric index j_f averages f and -f.
 import numpy as np
 
 import graphcurvature as gc
+from graphcurvature.morse import walk_index_sums
 
 
 def report(name, G, order):
@@ -44,8 +45,7 @@ def main():
     # walking between an order and its reversal one transposition at a time
     # keeps the sum pinned the whole way
     G = gc.random_tree(9, seed=3)
-    calc = gc.IndexCalculator(G)
-    path_sums = {calc.index_sum(f) for f in gc.transposition_path(gc.random_order(9, rng))}
+    path_sums = set(walk_index_sums(gc.IndexCalculator(G), gc.random_order(9, rng)))
     print(f"tree_9: index sums along a full transposition walk = {path_sums}")
     assert path_sums == {1}
 

@@ -17,7 +17,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .cliques import graph_euler_characteristic
@@ -26,6 +26,7 @@ from .curvature import curvature_field
 from .expectation import (
     MAX_SUBSET_DEGREE,
     exact_expectation_by_permutations,
+    exact_index_expectation,
     mc_index_expectation,
 )
 from .graphs import GENERATOR_KINDS, Graph, generate, load, to_edge_list, to_json
@@ -222,17 +223,20 @@ def cmd_expectation(args) -> Output:
     G = load_graph(args.graph)
     seed = resolve_seed(args)
     plan = TrialPlan(samples=args.samples, master_seed=seed, workers=args.threads)
-    report = mc_index_expectation(G, plan, with_exact=args.exact, exact_degree_cap=args.degree_cap)
-    payload = report.to_json_dict()
+    payload = mc_index_expectation(G, plan).to_json_dict()
     header = ["vertex", "samples", "estimate", "stderr", "exact", "curvature"]
-    if args.permutation_oracle:
-        oracle = exact_expectation_by_permutations(G)
-        for row, val in zip(payload["rows"], oracle):
-            row["permutation_oracle"] = str(val)
+    oracle = exact_expectation_by_permutations(G) if args.permutation_oracle else None
+    if oracle is not None:
         header.append("permutation_oracle")
     rows = []
     lines = ["vertex  estimate    stderr      curvature"]
     for row in payload["rows"]:
+        x = row["vertex"]
+        # exact before the oracle, so JSON rows keep that key order
+        if args.exact and G.degree(x) <= args.degree_cap:
+            row["exact"] = str(exact_index_expectation(G, x, degree_cap=args.degree_cap))
+        if oracle is not None:
+            row["permutation_oracle"] = str(oracle[x])
         rows.append([row.get(key, "") for key in header])
         se = "n/a" if row["stderr"] is None else f"{row['stderr']:.6f}"
         lines.append(f"{row['vertex']:>6}  {row['estimate']:>9.6f}  {se:>9}  {row['curvature']:>9}")
@@ -296,7 +300,7 @@ def cmd_verify(args) -> Output:
     lines = [f"{r.status:<4}  {r.suite:<13} {r.name}  {r.detail}" for r in results]
     lines.append(f"{summary['passed']} passed, {summary['failed']} failed, {summary['skipped']} skipped")
     return Output(
-        dumps({"results": [r.to_json_dict() for r in results], "summary": summary}),
+        dumps({"results": [asdict(r) for r in results], "summary": summary}),
         ["suite", "name", "status", "detail"],
         [[r.suite, r.name, r.status, r.detail] for r in results],
         "\n".join(lines) + "\n",

@@ -50,9 +50,10 @@ DEFAULT_WORK_BUDGET = 50_000_000
 PROGRESS_INTERVAL = 100_000
 _METER_STRIDE = 4096
 
-# Rows ``cliques_of_size`` lists before it gives up: 250,000 rows of 13
-# vertices take about 40 MB as tuples and 26 MB as percolation's event array.
-MAX_CLIQUE_ROWS = 250_000
+# Vertex ids, rows times size, ``cliques_of_size`` lists before it gives up:
+# 250,000 rows of 13 vertices take about 40 MB as tuples and 26 MB as
+# percolation's event array, and 1,072,445 triangles peak near 83 MiB.
+MAX_CLIQUE_ENTRIES = 3_250_000
 
 
 class _WorkMeter:
@@ -189,19 +190,20 @@ def cliques_of_size(G: Graph, size: int) -> tuple[tuple[int, ...], ...]:
     over ``_forward_walk``'s masks, the walk ``count_cliques`` counts on, so
     memory is O(n + m) besides the rows. The search stops at depth
     ``size - 1`` below v and skips any branch with too few candidates left
-    to reach it. It raises ValueError once there are more than
-    MAX_CLIQUE_ROWS rows.
+    to reach it. It raises ValueError once the rows would hold more than
+    MAX_CLIQUE_ENTRIES vertex ids.
     """
     if size < 1:
         raise ValueError(f"clique size must be >= 1, got {size}")
+    max_rows = MAX_CLIQUE_ENTRIES // size
     rows = []
 
     # F and masks are those of the vertex the loop below is at.
     def grow(row: tuple[int, ...], cand: int, depth: int):
         if not depth:
-            if len(rows) == MAX_CLIQUE_ROWS:
-                raise ValueError(f"more than MAX_CLIQUE_ROWS = {MAX_CLIQUE_ROWS} cliques "
-                                 f"on {size} vertices to list")
+            if len(rows) == max_rows:
+                raise ValueError(f"more than {max_rows} cliques on {size} vertices to list "
+                                 f"(MAX_CLIQUE_ENTRIES = {MAX_CLIQUE_ENTRIES} vertex ids)")
             rows.append(row)
             return
         while cand:

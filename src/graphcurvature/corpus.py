@@ -79,25 +79,3 @@ def full_corpus() -> tuple[NamedGraph, ...]:
     """Base corpus plus the full density sweep, used by the verify suites."""
     return base_corpus() + er_corpus(len(ER_SIZES) * 2 * ER_SEEDS_PER_CELL)
 
-
-@lru_cache(maxsize=None)
-def small_corpus() -> tuple[NamedGraph, ...]:
-    """A quick cross-section for property tests and smoke checks."""
-    picks = [
-        "cycle_4",
-        "cycle_7",
-        "path_1",
-        "path_5",
-        "star_5",
-        "tree_n13_s0",
-        "complete_2",
-        "complete_5",
-        "octahedron",
-        "icosahedron",
-        "er_tiny_n6_s0",
-        "er_tiny_n7_s1",
-    ]
-    by_name = dict(base_corpus())
-    entries = [(name, by_name[name]) for name in picks]
-    entries.extend(er_corpus(18)[:8])
-    return tuple(entries)

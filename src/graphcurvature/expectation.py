@@ -226,19 +226,15 @@ class ExpectationRow:
     estimate: float
     stderr: float | None
     curvature: Fraction
-    exact: Fraction | None
 
     def to_json_dict(self) -> dict:
-        row = {
+        return {
             "vertex": self.vertex,
             "samples": self.samples,
             "estimate": self.estimate,
             "stderr": self.stderr,
             "curvature": str(self.curvature),
         }
-        if self.exact is not None:
-            row["exact"] = str(self.exact)
-        return row
 
 
 @dataclass(frozen=True)
@@ -257,8 +253,6 @@ def mc_index_expectation(
     G: Graph,
     plan: TrialPlan,
     vertices: Sequence[int] | None = None,
-    with_exact: bool = False,
-    exact_degree_cap: int = 20,
 ) -> ExpectationReport:
     """Estimate E[i_f(x)] by sampling uniform rank permutations.
 
@@ -295,9 +289,6 @@ def mc_index_expectation(
     rows = []
     for j, x in enumerate(targets):
         mean, se = mean_and_stderr(acc[2 * j], acc[2 * j + 1], plan.samples)
-        exact = None
-        if with_exact and G.degree(x) <= exact_degree_cap:
-            exact = exact_index_expectation(G, x, degree_cap=exact_degree_cap)
         rows.append(
             ExpectationRow(
                 vertex=x,
@@ -305,7 +296,6 @@ def mc_index_expectation(
                 estimate=mean,
                 stderr=se,
                 curvature=curvature(G, x),
-                exact=exact,
             )
         )
     return ExpectationReport(rows=tuple(rows), master_seed=plan.master_seed)

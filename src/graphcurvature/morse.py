@@ -263,20 +263,6 @@ def transposition_swaps(start: Sequence[int]) -> Iterator[tuple[int, int]]:
             yield a, b
 
 
-def transposition_path(start: Sequence[int]) -> Iterator[VertexOrder]:
-    """Orders along the walk of ``transposition_swaps`` from f to -f.
-
-    Yields the start order, then the order after each swap of consecutive
-    ranks, ending at the reversal. Each order is a new n-tuple; the
-    stability check reads the swaps instead.
-    """
-    ranks = list(start)
-    yield tuple(ranks)
-    for a, b in transposition_swaps(start):
-        ranks[a], ranks[b] = ranks[b], ranks[a]
-        yield tuple(ranks)
-
-
 def walk_index_sums(calc: IndexCalculator, start: Sequence[int]) -> Iterator[int]:
     """Index sums along the walk of ``transposition_swaps`` from ``start`` to its reversal.
 

@@ -10,6 +10,7 @@ Suite sizes are fixed module constants; a run sets only seed and degree cap.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -56,23 +57,8 @@ SUITES = tuple(_SUITE_OPTIONS)
 class CheckResult:
     suite: str
     name: str
-    ok: bool
-    skipped: bool = False
+    status: str  # "PASS", "FAIL" or "SKIP"
     detail: str = ""
-
-    @property
-    def status(self) -> str:
-        if self.skipped:
-            return "SKIP"
-        return "PASS" if self.ok else "FAIL"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "name": self.name,
-            "status": self.status,
-            "detail": self.detail,
-        }
 
 
 # The ok of a row whose check was skipped.
@@ -87,7 +73,7 @@ def _rows(suite: str, graphs: Sequence[NamedGraph], check) -> list[CheckResult]:
     skipped check.
     """
     return [
-        CheckResult(suite, name + suffix, ok=ok is SKIP or ok, skipped=ok is SKIP, detail=detail)
+        CheckResult(suite, name + suffix, "SKIP" if ok is SKIP else "PASS" if ok else "FAIL", detail)
         for name, G in graphs
         for suffix, ok, detail in check(G)
     ]
@@ -227,7 +213,6 @@ def run_suites(
 
 
 def summarize(results: Sequence[CheckResult]) -> dict:
-    passed = sum(1 for r in results if r.ok and not r.skipped)
-    failed = sum(1 for r in results if not r.ok)
-    skipped = sum(1 for r in results if r.skipped)
-    return {"passed": passed, "failed": failed, "skipped": skipped, "ok": failed == 0}
+    counts = Counter(r.status for r in results)
+    return {"passed": counts["PASS"], "failed": counts["FAIL"], "skipped": counts["SKIP"],
+            "ok": counts["FAIL"] == 0}

@@ -39,9 +39,3 @@ def corpus():
 
     return full_corpus()
 
-
-@pytest.fixture(scope="session")
-def small_graphs():
-    from graphcurvature.corpus import small_corpus
-
-    return small_corpus()

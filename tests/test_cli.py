@@ -13,7 +13,7 @@ import pytest
 import graphcurvature
 from graphcurvature import morse, percolation
 from graphcurvature.cli import main
-from graphcurvature.cliques import MAX_CLIQUE_ROWS
+from graphcurvature.cliques import MAX_CLIQUE_ENTRIES
 from graphcurvature.graphs import MAX_PAIRS, MAX_VERTICES, cycle_graph, to_edge_list, to_json
 
 
@@ -640,8 +640,8 @@ class TestOversizedInput:
         assert float(proc.stdout) < 1.0
 
     def test_percolation_hosts_over_the_row_limit_fail_fast(self):
-        """K_26 has 10,400,600 13-cliques; the lister stops at MAX_CLIQUE_ROWS
-        instead of listing them all first.
+        """K_26 has 10,400,600 13-cliques; the lister stops after 250,000 of
+        them, MAX_CLIQUE_ENTRIES vertex ids, instead of listing them all first.
 
         Same 512 MiB address-space limit.
         """
@@ -651,8 +651,8 @@ class TestOversizedInput:
                                "complete:n=26", "--k", "12", "--trials", "1"],
                               capture_output=True, text=True, env=env, timeout=300)
         assert proc.returncode == 2, proc.stderr
-        assert proc.stderr == (f"error: more than MAX_CLIQUE_ROWS = {MAX_CLIQUE_ROWS} cliques "
-                               "on 13 vertices to list\n")
+        assert proc.stderr == ("error: more than 250000 cliques on 13 vertices to list "
+                               f"(MAX_CLIQUE_ENTRIES = {MAX_CLIQUE_ENTRIES} vertex ids)\n")
         assert float(proc.stdout) < 1.0
 
     def test_erdos_renyi_pair_count_over_the_limit_fails_fast(self):

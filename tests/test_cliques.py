@@ -282,6 +282,20 @@ class TestMaskEnumeration:
         with pytest.raises(ValueError):
             cliques_of_size(G, 0)
 
+    def test_limit_counts_vertex_ids_not_rows(self):
+        """K_116's 253,460 triangles are more rows than 250,000 13-cliques,
+        but 760,380 vertex ids, under MAX_CLIQUE_ENTRIES."""
+        rows = cliques_of_size(complete_graph(116), 3)
+        assert len(rows) == comb(116, 3) == 253_460
+        assert rows[0] == (0, 1, 2) and rows[-1] == (113, 114, 115)
+
+    def test_limit_is_rows_times_size(self, monkeypatch):
+        monkeypatch.setattr(cliques, "MAX_CLIQUE_ENTRIES", 60)
+        assert len(cliques_of_size(complete_graph(6), 3)) == 20  # 60 ids: at the limit
+        with pytest.raises(ValueError, match=r"^more than 15 cliques on 4 vertices to list "
+                                             r"\(MAX_CLIQUE_ENTRIES = 60 vertex ids\)$"):
+            cliques_of_size(complete_graph(7), 4)  # 35 rows, 140 ids
+
     def test_listing_builds_no_whole_graph_masks(self):
         G = erdos_renyi(40, 0.3, seed=2)
         assert len(cliques_of_size(G, 3)) == count_cliques(G)[2]

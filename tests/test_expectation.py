@@ -1,5 +1,6 @@
 """The index-expectation theorem and its oracles."""
 
+import json
 import time
 from fractions import Fraction
 from math import comb, factorial
@@ -15,6 +16,7 @@ from graphcurvature.cliques import (
     vertex_clique_degrees,
 )
 from graphcurvature import expectation, morse, trials
+from graphcurvature.cli import main
 from graphcurvature.corpus import base_corpus
 from graphcurvature.curvature import curvature
 from graphcurvature.expectation import (
@@ -264,11 +266,9 @@ class TestMonteCarlo:
             assert row.curvature == Fraction(1, 6)
             assert abs(row.estimate - 1 / 6) <= 4 * row.stderr, row
 
-    def test_exact_column(self):
-        rep = mc_index_expectation(
-            cycle_graph(4), TrialPlan(samples=50, master_seed=2), with_exact=True
-        )
-        assert all(row.exact == 0 for row in rep.rows)
+    def test_exact_column(self, capsys):
+        rows = expectation_cli_rows(capsys, "cycle:n=4", "--samples", "50", "--seed", "2", "--exact")
+        assert [row["exact"] for row in rows] == ["0"] * 4
 
     def test_worker_count_invariance(self):
         G = erdos_renyi(9, 0.5, seed=4)
@@ -284,16 +284,16 @@ class TestMonteCarlo:
         rep = mc_index_expectation(cycle_graph(8), TrialPlan(samples=10, master_seed=1), vertices=(2, 5))
         assert tuple(r.vertex for r in rep.rows) == (2, 5)
 
-    def test_json_dict_shape(self):
-        import json
-
-        rep = mc_index_expectation(
-            path_graph(3), TrialPlan(samples=10, master_seed=8), with_exact=True
-        )
-        payload = json.loads(json.dumps(rep.to_json_dict()))
-        row = payload["rows"][0]
+    def test_json_dict_shape(self, capsys):
+        row = expectation_cli_rows(capsys, "path:n=3", "--samples", "10", "--seed", "8", "--exact")[0]
         assert set(row) == {"vertex", "samples", "estimate", "stderr", "exact", "curvature"}
         assert row["exact"] == "1/2" and row["curvature"] == "1/2"
+
+
+def expectation_cli_rows(capsys, *argv):
+    """The JSON rows of ``graphcurv expectation *argv``, run in process."""
+    assert main(["expectation", *argv, "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)["rows"]
 
 
 def reference_expectation(G, samples, seed, vertices):

@@ -32,7 +32,6 @@ from graphcurvature.morse import (
     random_order,
     reverse_order,
     symmetric_index,
-    transposition_path,
     transposition_swaps,
     validate_order,
     verify_index_stability,
@@ -311,10 +310,20 @@ class TestIntermediateEquations:
             assert all(r.equal for r in verify_intermediate_equations(G, f))
 
 
+def _orders_along_swaps(start):
+    """The start order, then the order after each swap of ``transposition_swaps``."""
+    ranks = list(start)
+    orders = [tuple(ranks)]
+    for a, b in transposition_swaps(start):
+        ranks[a], ranks[b] = ranks[b], ranks[a]
+        orders.append(tuple(ranks))
+    return orders
+
+
 class TestTranspositionPath:
     def test_endpoints_and_length(self):
         start = (2, 0, 3, 1)
-        path = list(transposition_path(start))
+        path = _orders_along_swaps(start)
         n = 4
         assert path[0] == start
         assert path[-1] == reverse_order(start)
@@ -322,7 +331,7 @@ class TestTranspositionPath:
 
     def test_each_step_is_adjacent_rank_swap(self):
         start = random_order(6, 5)
-        path = list(transposition_path(start))
+        path = _orders_along_swaps(start)
         for a, b in zip(path, path[1:]):
             moved = [v for v in range(6) if a[v] != b[v]]
             assert len(moved) == 2
@@ -331,9 +340,11 @@ class TestTranspositionPath:
 
     def test_swaps_replay_the_path(self):
         start = random_order(7, 2)
-        path = list(transposition_path(start))
+        path = _orders_along_swaps(start)
         swaps = list(transposition_swaps(start))
         assert len(swaps) == len(path) - 1
+        # the swaps walk the bubble reversal, built here without them
+        assert path == list(_bubble_reversal_orders(start))
         for (a, b), before, after in zip(swaps, path, path[1:]):
             assert before[b] == before[a] + 1 and (after[a], after[b]) == (before[b], before[a])
         # the reversal swaps every pair of vertices exactly once

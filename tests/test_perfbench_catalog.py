@@ -108,3 +108,41 @@ def test_exact_dense_op_records_every_expected_layer(tracer, workloads, tmp_path
     assert [name for name in wl.expected_layers if not by_name.get(name, [0])[0]] == []
     assert {"morse.verify_index_stability", "morse.index", "morse.IndexCalculator.init"} <= set(wl.expected_layers)
     assert wl.check(ctx, result) == []
+
+
+def _library_layers(tracer, wl):
+    """The workload's expected layers, less the spans the benchmark records itself."""
+    return [name for name in wl.expected_layers if name not in tracer.SPANS]
+
+
+def test_monte_carlo_op_records_every_expected_layer(tracer, workloads, tmp_path, monkeypatch):
+    """The op at 2,000 samples, under its own check."""
+    monkeypatch.setattr(workloads, "MC_SAMPLES", 2_000)
+    wl = workloads.WORKLOADS["monte_carlo"]
+    ctx = workloads.Context(gc=graphcurvature, cli=cli, seed=3, workers=1, workdir=tmp_path)
+    ctx.expected["fingerprint"] = workloads.inputs.fingerprint(wl.make_inputs(ctx))
+    t = tracer.Tracer()
+    t.install()
+    try:
+        result = wl.op(ctx)
+    finally:
+        t.uninstall()
+    by_name = t.totals()[0]
+    assert [name for name in _library_layers(tracer, wl) if not by_name.get(name, [0])[0]] == []
+    assert wl.check(ctx, result) == []
+
+
+def test_verify_corpus_op_records_every_expected_layer(tracer, workloads, tmp_path):
+    """`graphcurv verify` on the built-in corpus, under its own check of the rows per suite."""
+    wl = workloads.WORKLOADS["verify_corpus"]
+    ctx = workloads.Context(gc=graphcurvature, cli=cli, seed=3, workers=1, workdir=tmp_path)
+    wl.make_inputs(ctx)
+    t = tracer.Tracer()
+    t.install()
+    try:
+        result = wl.op(ctx)
+    finally:
+        t.uninstall()
+    by_name = t.totals()[0]
+    assert [name for name in _library_layers(tracer, wl) if not by_name.get(name, [0])[0]] == []
+    assert wl.check(ctx, result) == []
