@@ -78,18 +78,26 @@ def workloads(monkeypatch):
         sys.modules.pop(name, None)
 
 
+def _run_traced(tracer, wl, ctx):
+    """The op's result, and the expected layers, less the benchmark's own
+    ``tracer.SPANS``, on which the traced op recorded no call."""
+    t = tracer.Tracer()
+    t.install()
+    try:
+        result = wl.op(ctx)
+    finally:
+        t.uninstall()
+    by_name = t.totals()[0]
+    return result, [name for name in wl.expected_layers
+                    if name not in tracer.SPANS and not by_name.get(name, [0])[0]]
+
+
 def test_chi_geometric_op_records_every_expected_layer(tracer, workloads, tmp_path):
     wl = workloads.WORKLOADS["chi_geometric"]
     ctx = workloads.Context(gc=graphcurvature, cli=cli, seed=3, workers=1, workdir=tmp_path,
                             text=workloads.inputs.geometric_torus_text(400, 8, 3))
-    t = tracer.Tracer()
-    t.install()
-    try:
-        G, *chis = wl.op(ctx)
-    finally:
-        t.uninstall()
-    by_name = t.totals()[0]
-    assert [name for name in wl.expected_layers if not by_name.get(name, [0])[0]] == []
+    (G, *chis), missing = _run_traced(tracer, wl, ctx)
+    assert missing == []
     assert len(set(chis)) == 1 and G.n == 400
 
 
@@ -98,21 +106,10 @@ def test_exact_dense_op_records_every_expected_layer(tracer, workloads, tmp_path
     wl = workloads.WORKLOADS["exact_dense"]
     ctx = workloads.Context(gc=graphcurvature, cli=cli, seed=3, workers=1, workdir=tmp_path)
     workloads.dense_inputs(ctx)
-    t = tracer.Tracer()
-    t.install()
-    try:
-        result = wl.op(ctx)
-    finally:
-        t.uninstall()
-    by_name = t.totals()[0]
-    assert [name for name in wl.expected_layers if not by_name.get(name, [0])[0]] == []
+    result, missing = _run_traced(tracer, wl, ctx)
+    assert missing == []
     assert {"morse.verify_index_stability", "morse.index", "morse.IndexCalculator.init"} <= set(wl.expected_layers)
     assert wl.check(ctx, result) == []
-
-
-def _library_layers(tracer, wl):
-    """The workload's expected layers, less the spans the benchmark records itself."""
-    return [name for name in wl.expected_layers if name not in tracer.SPANS]
 
 
 def test_monte_carlo_op_records_every_expected_layer(tracer, workloads, tmp_path, monkeypatch):
@@ -121,14 +118,8 @@ def test_monte_carlo_op_records_every_expected_layer(tracer, workloads, tmp_path
     wl = workloads.WORKLOADS["monte_carlo"]
     ctx = workloads.Context(gc=graphcurvature, cli=cli, seed=3, workers=1, workdir=tmp_path)
     ctx.expected["fingerprint"] = workloads.inputs.fingerprint(wl.make_inputs(ctx))
-    t = tracer.Tracer()
-    t.install()
-    try:
-        result = wl.op(ctx)
-    finally:
-        t.uninstall()
-    by_name = t.totals()[0]
-    assert [name for name in _library_layers(tracer, wl) if not by_name.get(name, [0])[0]] == []
+    result, missing = _run_traced(tracer, wl, ctx)
+    assert missing == []
     assert wl.check(ctx, result) == []
 
 
@@ -137,12 +128,6 @@ def test_verify_corpus_op_records_every_expected_layer(tracer, workloads, tmp_pa
     wl = workloads.WORKLOADS["verify_corpus"]
     ctx = workloads.Context(gc=graphcurvature, cli=cli, seed=3, workers=1, workdir=tmp_path)
     wl.make_inputs(ctx)
-    t = tracer.Tracer()
-    t.install()
-    try:
-        result = wl.op(ctx)
-    finally:
-        t.uninstall()
-    by_name = t.totals()[0]
-    assert [name for name in _library_layers(tracer, wl) if not by_name.get(name, [0])[0]] == []
+    result, missing = _run_traced(tracer, wl, ctx)
+    assert missing == []
     assert wl.check(ctx, result) == []
