@@ -17,7 +17,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, is_dataclass
 from fractions import Fraction
 
 from .cliques import graph_euler_characteristic
@@ -107,8 +107,18 @@ def parse_function_file(text: str, n: int) -> tuple[int, ...]:
     return order_from_values([values[v] for v in range(n)])
 
 
+def _encode(obj):
+    """JSON for what ``json`` cannot encode: a dataclass as its field-ordered
+    dict, an exact rational as its "p/q" string. Anything else is a bug."""
+    if is_dataclass(obj):
+        return asdict(obj)
+    if isinstance(obj, Fraction):
+        return str(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    return json.dumps(obj, indent=2, default=_encode) + "\n"
 
 
 @dataclass(frozen=True)
@@ -186,7 +196,7 @@ def cmd_curvature(args) -> Output:
     field = curvature_field(load_graph(args.graph))
     lines = [f"{x:>6}  {K}" for x, K in enumerate(field.values)]
     return Output(
-        dumps(field.to_json_dict()),
+        dumps({**{str(x): K for x, K in enumerate(field.values)}, "total": field.total}),
         ["vertex", "curvature"],
         [[x, str(K)] for x, K in enumerate(field.values)],
         "vertex  curvature\n" + "\n".join(lines) + f"\ntotal = {field.total}\n",
@@ -206,7 +216,7 @@ def cmd_index(args) -> Output:
         for x in range(G.n)
     ]
     return Output(
-        dumps(report.to_json_dict()),
+        dumps(report),
         ["vertex", "rank", "i", "i_reversed", "j"],
         [
             [x, report.order[x], report.indices[x], report.reverse_indices[x], str(report.symmetric[x])]
@@ -223,7 +233,7 @@ def cmd_expectation(args) -> Output:
     G = load_graph(args.graph)
     seed = resolve_seed(args)
     plan = TrialPlan(samples=args.samples, master_seed=seed, workers=args.threads)
-    payload = mc_index_expectation(G, plan).to_json_dict()
+    payload = asdict(mc_index_expectation(G, plan))
     header = ["vertex", "samples", "estimate", "stderr", "exact", "curvature"]
     oracle = exact_expectation_by_permutations(G) if args.permutation_oracle else None
     if oracle is not None:
@@ -234,12 +244,12 @@ def cmd_expectation(args) -> Output:
         x = row["vertex"]
         # exact before the oracle, so JSON rows keep that key order
         if args.exact and G.degree(x) <= args.degree_cap:
-            row["exact"] = str(exact_index_expectation(G, x, degree_cap=args.degree_cap))
+            row["exact"] = exact_index_expectation(G, x, degree_cap=args.degree_cap)
         if oracle is not None:
-            row["permutation_oracle"] = str(oracle[x])
+            row["permutation_oracle"] = oracle[x]
         rows.append([row.get(key, "") for key in header])
         se = "n/a" if row["stderr"] is None else f"{row['stderr']:.6f}"
-        lines.append(f"{row['vertex']:>6}  {row['estimate']:>9.6f}  {se:>9}  {row['curvature']:>9}")
+        lines.append(f"{row['vertex']:>6}  {row['estimate']:>9.6f}  {se:>9}  {str(row['curvature']):>9}")
     human = "\n".join(lines) + f"\nsamples = {args.samples}, seed = {seed}\n"
     return Output(dumps(payload), header, rows, human)
 
@@ -263,7 +273,7 @@ def cmd_percolation(args) -> Output:
     ])
     se = "n/a" if s.stderr is None else f"{s.stderr:.6f}"
     return Output(
-        dumps(report.to_json_dict()),
+        dumps(report),
         ["trial", "p", "ratio"],
         rows,
         f"mode={s.mode} k={s.k} trials={s.trials} hosts v_k={s.host_count}\n"
@@ -300,7 +310,7 @@ def cmd_verify(args) -> Output:
     lines = [f"{r.status:<4}  {r.suite:<13} {r.name}  {r.detail}" for r in results]
     lines.append(f"{summary['passed']} passed, {summary['failed']} failed, {summary['skipped']} skipped")
     return Output(
-        dumps({"results": [asdict(r) for r in results], "summary": summary}),
+        dumps({"results": results, "summary": summary}),
         ["suite", "name", "status", "detail"],
         [[r.suite, r.name, r.status, r.detail] for r in results],
         "\n".join(lines) + "\n",

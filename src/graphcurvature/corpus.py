@@ -76,6 +76,7 @@ def er_corpus(count: int = 100) -> tuple[NamedGraph, ...]:
 
 @lru_cache(maxsize=None)
 def full_corpus() -> tuple[NamedGraph, ...]:
-    """Base corpus plus the full density sweep, used by the verify suites."""
+    """Base corpus plus the full density sweep, for the test suites;
+    ``graphcurv verify`` runs ``base_corpus() + er_corpus(20)``."""
     return base_corpus() + er_corpus(len(ER_SIZES) * 2 * ER_SEEDS_PER_CELL)
 

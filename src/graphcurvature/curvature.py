@@ -43,11 +43,6 @@ class CurvatureField:
     values: tuple[Fraction, ...]
     total: Fraction
 
-    def to_json_dict(self) -> dict:
-        d = {str(v): str(K) for v, K in enumerate(self.values)}
-        d["total"] = str(self.total)
-        return d
-
 
 def curvature_field(G: Graph,
                     progress: Callable[[int], None] | None = None) -> CurvatureField:

@@ -227,26 +227,11 @@ class ExpectationRow:
     stderr: float | None
     curvature: Fraction
 
-    def to_json_dict(self) -> dict:
-        return {
-            "vertex": self.vertex,
-            "samples": self.samples,
-            "estimate": self.estimate,
-            "stderr": self.stderr,
-            "curvature": str(self.curvature),
-        }
-
 
 @dataclass(frozen=True)
 class ExpectationReport:
-    rows: tuple[ExpectationRow, ...]
     master_seed: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "master_seed": self.master_seed,
-            "rows": [r.to_json_dict() for r in self.rows],
-        }
+    rows: tuple[ExpectationRow, ...]
 
 
 def mc_index_expectation(
@@ -298,4 +283,4 @@ def mc_index_expectation(
                 curvature=curvature(G, x),
             )
         )
-    return ExpectationReport(rows=tuple(rows), master_seed=plan.master_seed)
+    return ExpectationReport(master_seed=plan.master_seed, rows=tuple(rows))

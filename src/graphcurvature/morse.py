@@ -119,16 +119,6 @@ class IndexReport:
     index_sum: int
     symmetric_sum: Fraction
 
-    def to_json_dict(self) -> dict:
-        return {
-            "order": list(self.order),
-            "indices": list(self.indices),
-            "reverse_indices": list(self.reverse_indices),
-            "symmetric": [str(j) for j in self.symmetric],
-            "index_sum": self.index_sum,
-            "symmetric_sum": str(self.symmetric_sum),
-        }
-
 
 def index_report(G: Graph, order: Sequence[int]) -> IndexReport:
     """Indices of f and -f at every vertex, with their sums."""

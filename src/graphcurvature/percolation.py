@@ -106,27 +106,11 @@ class SurvivalEstimate:
     exact: Fraction | float
     master_seed: int
 
-    def to_json_dict(self) -> dict:
-        exact = self.exact
-        return {
-            "mode": self.mode,
-            "k": self.k,
-            "trials": self.trials,
-            "host_count": self.host_count,
-            "estimate": self.estimate,
-            "stderr": self.stderr,
-            "exact": str(exact) if isinstance(exact, Fraction) else exact,
-            "master_seed": self.master_seed,
-        }
-
 
 @dataclass(frozen=True)
 class SurvivalReport:
     summary: SurvivalEstimate
     rows: tuple[dict, ...]
-
-    def to_json_dict(self) -> dict:
-        return {"summary": self.summary.to_json_dict(), "rows": list(self.rows)}
 
 
 def _survival_pass(G: Graph, k: int, trials: int, seed: int, mode: str, workers: int,

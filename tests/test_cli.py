@@ -6,21 +6,49 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import graphcurvature
 from graphcurvature import morse, percolation
-from graphcurvature.cli import main
+from graphcurvature.cli import dumps, main, parse_function_file
 from graphcurvature.cliques import MAX_CLIQUE_ENTRIES
+from graphcurvature.expectation import ExpectationRow
 from graphcurvature.graphs import MAX_PAIRS, MAX_VERTICES, cycle_graph, to_edge_list, to_json
+from graphcurvature.percolation import SurvivalEstimate, SurvivalReport
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+class TestDumps:
+    def test_nested_report_is_field_ordered_with_rationals_as_strings(self):
+        estimate = SurvivalEstimate("site", 1, 4, 30, 0.25, None, Fraction(1, 3), 7)
+        report = SurvivalReport(estimate, ({"trial": 0, "p": 0.5, "ratio": 0.25},))
+        text = dumps({"report": report, "rows": [ExpectationRow(2, 10, 0.5, 0.1, Fraction(-1, 6))]})
+        payload = json.loads(text)
+        assert list(payload["report"]) == ["summary", "rows"]
+        assert list(payload["report"]["summary"].items()) == [
+            ("mode", "site"), ("k", 1), ("trials", 4), ("host_count", 30),
+            ("estimate", 0.25), ("stderr", None), ("exact", "1/3"), ("master_seed", 7),
+        ]
+        assert payload["report"]["rows"] == [{"trial": 0, "p": 0.5, "ratio": 0.25}]
+        assert list(payload["rows"][0].items()) == [
+            ("vertex", 2), ("samples", 10), ("estimate", 0.5), ("stderr", 0.1), ("curvature", "-1/6"),
+        ]
+        assert text.endswith("}\n") and '\n  "report": {' in text
+
+    @pytest.mark.parametrize("value", [{1, 2}, np.int64(3), SurvivalReport])
+    def test_anything_else_is_a_type_error(self, value):
+        # Never stringified: a stray numpy scalar or set is a bug to see.
+        with pytest.raises(TypeError):
+            dumps({"rows": [value]})
 
 
 class TestGenerate:
@@ -128,6 +156,21 @@ class TestIndex:
         path = tmp_path / "f.txt"
         path.write_text("0 1\n1 2\n")
         assert run_cli(capsys, "index", "cycle:n=4", "--function", str(path))[0] == 2
+
+    @pytest.mark.parametrize("text, message", [
+        ("0 1\n1\n2 3", "line 2: expected 'vertex value', got '1'"),
+        ("0 1\n1 2 3", "line 2: expected 'vertex value', got '1 2 3'"),
+        ("x 1", "line 1: invalid literal for int() with base 10: 'x'"),
+        ("0 1\n1 x", "line 2: Invalid literal for Fraction: 'x'"),
+        ("0 1  # c\n1 1/0", "line 2: Fraction(1, 0)"),
+        ("0 1\n0 2", "line 2: vertex 0 assigned twice"),
+        ("0 1\n1 2", "function must cover vertices 0..2: missing [2], extra []"),
+        ("0 1\n1 2\n5 3", "function must cover vertices 0..2: missing [2], extra [5]"),
+    ])
+    def test_function_file_error_text(self, text, message):
+        with pytest.raises(ValueError) as exc:
+            parse_function_file(text, 3)
+        assert str(exc.value) == message
 
     def test_seeded_random_order_deterministic(self, capsys):
         _, a = run_cli(capsys, "index", "cycle:n=6", "--seed", "9", "--format", "json")

@@ -106,6 +106,12 @@ def test_output_matches_golden(case, fmt):
     assert mask(case, fmt, out) == golden_path(case, fmt).read_text()
 
 
+def test_golden_files_are_exactly_the_cases():
+    # A renamed or dropped case must not leave a stale golden file behind.
+    expected = {golden_path(case, fmt).name for case in CASES for fmt in FORMATS} | {FUNCTION_FILE.name}
+    assert {p.name for p in GOLDEN.iterdir()} == expected
+
+
 def test_output_file_matches_golden(tmp_path):
     path = tmp_path / "out.json"
     code, out = run([*CASES["index_seeded"], "--format", "json", "--output", str(path)])

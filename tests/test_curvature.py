@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphcurvature.cli import main
 from graphcurvature.cliques import (
     count_cliques,
     count_cliques_in_mask,
@@ -145,11 +146,10 @@ class TestGaussBonnet:
             assert isinstance(field.total, Fraction) and field.total == total, G
             assert str(field.total) == str(total)
 
-    def test_json_shape(self):
-        field = curvature_field(cycle_graph(3))
-        payload = field.to_json_dict()
+    def test_json_shape(self, capsys):
+        assert main(["curvature", "cycle:n=3", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)  # the output parses as JSON as-is
         assert payload == {"0": "1/3", "1": "1/3", "2": "1/3", "total": "1"}
-        json.dumps(payload)  # must be serializable as-is
 
 
 class TestTransferEquations:

@@ -233,6 +233,7 @@ class TestEdgeList:
         G = from_edge_list("n 4\n0 1")
         assert G.n == 4 and G.edges == ((0, 1),)
         assert G.degree(2) == 0 and G.degree(3) == 0
+        assert from_edge_list("0 1\nn 4") == G  # a header after the edges too
 
     def test_comments_and_blanks(self):
         G = from_edge_list("# a triangle\n\n0 1  # first\n1 2\n2 0\n")
@@ -250,6 +251,30 @@ class TestEdgeList:
     def test_wrong_token_count(self):
         with pytest.raises(EdgeListParseError, match="line 2"):
             from_edge_list("0 1\n0 1 2")
+
+    # The full text of every parse error. Where a line breaks two rules, the
+    # first check in from_edge_list names it: "n x y" is a bad header, not a
+    # bad count; "-2 -2" is a self-loop, not a negative id.
+    @pytest.mark.parametrize("text, message", [
+        ("n", "line 1: header must be 'n <count>'"),
+        ("0 1\nn 3 4", "line 2: header must be 'n <count>'"),
+        ("n x y", "line 1: header must be 'n <count>'"),
+        ("0 1\nn x", "line 2: non-integer count 'x'"),
+        ("n -1", "line 1: vertex count must be >= 0"),
+        ("0 1\n-1 2", "line 2: negative vertex id in '-1 2'"),
+        ("-2 -2", "line 1: self-loop at vertex -2"),
+        ("0 1\n1", "line 2: expected 'u v', got '1'"),
+        ("x y z", "line 1: expected 'u v', got 'x y z'"),
+        ("0 1\n2 x  # note", "line 2: non-integer token in '2 x'"),
+        ("n 3\n0 5", "edge endpoint 5 exceeds declared n=3"),
+        ("0 5\nn 3", "edge endpoint 5 exceeds declared n=3"),
+    ])
+    def test_parse_error_text(self, text, message):
+        with pytest.raises(ValueError) as exc:
+            from_edge_list(text)
+        assert str(exc.value) == message
+        # Only the end-of-input check has no line to name.
+        assert isinstance(exc.value, EdgeListParseError) == message.startswith("line ")
 
     def test_round_trip_bit_exact(self):
         for seed in range(5):

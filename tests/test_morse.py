@@ -217,8 +217,10 @@ class TestIndexReport:
     def test_json_round_trip(self):
         import json
 
+        from graphcurvature.cli import dumps
+
         rep = index_report(cycle_graph(4), (0, 1, 2, 3))
-        payload = json.loads(json.dumps(rep.to_json_dict()))
+        payload = json.loads(dumps(rep))
         assert payload["indices"] == [1, 0, 0, -1]
         assert payload["symmetric"] == ["0", "0", "0", "0"]
         assert payload["index_sum"] == 0
