@@ -94,9 +94,14 @@ def parse_function_file(text: str, n: int) -> tuple[int, ...]:
             raise ValueError(f"line {line_no}: expected 'vertex value', got {raw!r}")
         try:
             v = int(parts[0])
+        except ValueError:
+            raise ValueError(f"line {line_no}: non-integer vertex {parts[0]!r}") from None
+        try:
             value = Fraction(parts[1])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"line {line_no}: {exc}") from None
+        except ValueError:
+            raise ValueError(f"line {line_no}: value {parts[1]!r} is not an integer, decimal or fraction p/q") from None
+        except ZeroDivisionError:
+            raise ValueError(f"line {line_no}: value {parts[1]!r} has a zero denominator") from None
         if v in values:
             raise ValueError(f"line {line_no}: vertex {v} assigned twice")
         values[v] = value

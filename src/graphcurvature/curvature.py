@@ -13,9 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable
+from typing import Callable, Sequence
 
-from .cliques import IdentityCheck, count_cliques, euler_characteristic, vertex_clique_degrees
+from .cliques import (
+    FVector,
+    IdentityCheck,
+    count_cliques,
+    euler_characteristic,
+    vertex_clique_degrees,
+)
 from .graphs import Graph
 
 
@@ -55,32 +61,50 @@ def curvature_field(G: Graph,
         if progress is not None:
             progress(x)
         values.append(curvature(G, x))
-    # One Fraction over the common denominator, not one addition per vertex.
+    return CurvatureField(tuple(values), _total(values))
+
+
+def _total(values: Sequence[Fraction]) -> Fraction:
+    """One Fraction over the common denominator, not one addition per value."""
     L = lcm(*{K.denominator for K in values})
-    return CurvatureField(tuple(values), Fraction(sum(K.numerator * (L // K.denominator) for K in values), L))
+    return Fraction(sum(K.numerator * (L // K.denominator) for K in values), L)
+
+
+def gauss_bonnet_check(curvatures: Sequence[Fraction], fvec: FVector) -> IdentityCheck:
+    """Compare sum_x K(x) (lhs) against the Euler characteristic of ``fvec`` (rhs).
+
+    ``curvatures`` holds K(x) for every vertex, from its sphere; ``fvec`` is
+    the graph's clique f-vector.
+    """
+    lhs = _total(curvatures)
+    rhs = euler_characteristic(fvec)
+    return IdentityCheck(None, lhs, rhs, lhs == rhs)
 
 
 def verify_gauss_bonnet(G: Graph) -> IdentityCheck:
     """Compare sum_x K(x) (lhs) against the clique-count Euler characteristic (rhs)."""
-    lhs = curvature_field(G).total
-    rhs = euler_characteristic(count_cliques(G))
-    return IdentityCheck(None, lhs, rhs, lhs == rhs)
+    return gauss_bonnet_check(curvature_field(G).values, count_cliques(G))
 
 
-def verify_transfer_equations(G: Graph) -> tuple[IdentityCheck, ...]:
+def transfer_checks(sphere_fvecs: Sequence[FVector], fvec: FVector) -> tuple[IdentityCheck, ...]:
     """Check sum_x V_{k-1}(x) = (k+1) v_k for every k with v_k > 0.
 
-    The rows hold lhs = sum_x V_{k-1}(x) and rhs = (k+1) v_k. k = 0 is the
-    vertex count (V_{-1} = 1); k = 1 is Euler's handshake.
+    ``sphere_fvecs[x]`` is the f-vector of the sphere of x and ``fvec`` the
+    graph's clique f-vector. The rows hold lhs = sum_x V_{k-1}(x) and
+    rhs = (k+1) v_k. k = 0 is the vertex count (V_{-1} = 1); k = 1 is
+    Euler's handshake.
     """
-    fvec = count_cliques(G)
-    sphere_fvecs = [vertex_clique_degrees(G, x) for x in range(G.n)]
     checks = []
     for k, vk in enumerate(fvec):
         if k == 0:
-            lhs = G.n
+            lhs = len(sphere_fvecs)
         else:
             lhs = sum(sf[k - 1] if k - 1 < len(sf) else 0 for sf in sphere_fvecs)
         rhs = (k + 1) * vk
         checks.append(IdentityCheck(k, lhs, rhs, lhs == rhs))
     return tuple(checks)
+
+
+def verify_transfer_equations(G: Graph) -> tuple[IdentityCheck, ...]:
+    """Check sum_x V_{k-1}(x) = (k+1) v_k for every k with v_k > 0, by ``transfer_checks``."""
+    return transfer_checks([vertex_clique_degrees(G, x) for x in range(G.n)], count_cliques(G))

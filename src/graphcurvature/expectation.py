@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
@@ -80,10 +80,11 @@ def _uniform_rank_mean(sums: Sequence[int]) -> Fraction:
     The rank of x within {x} union S(x) is uniform over d+1 slots, and given
     m neighbors below x they form a uniform m-subset of the sphere. So if
     s_m totals a quantity over the m-subsets of S(x), this is its expected
-    value on the neighbors below x in a uniform random order.
+    value on the neighbors below x in a uniform random order. As
+    1/((d+1) C(d, m)) = m! (d-m)! / (d+1)!, it is one integer sum over (d+1)!.
     """
     d = len(sums) - 1
-    return sum((Fraction(s, comb(d, m)) for m, s in enumerate(sums)), Fraction(0)) / (d + 1)
+    return Fraction(sum(s * factorial(m) * factorial(d - m) for m, s in enumerate(sums)), factorial(d + 1))
 
 
 def _subset_tables(G: Graph, x: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:

@@ -15,6 +15,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .cliques import (
+    FVector,
     IdentityCheck,
     count_cliques,
     count_cliques_in_mask,
@@ -145,13 +146,15 @@ class IndexCalculator:
     the Euler characteristic of each exit subset is memoized by its bitmask.
     ``index`` matches the module-level function exactly; it is just cheaper
     when evaluating thousands of orders on the same graph. ``clique_split``
-    counts sphere cliques on the same masks with the same kernel.
+    counts sphere cliques on the same masks with the same kernel, and counts
+    each whole sphere once per calculator (``sphere_fvec``).
     """
 
     def __init__(self, G: Graph):
         self.G = G
         self._local_masks = [sphere_masks(G, x) for x in range(G.n)]
         self._chi_cache: list[dict[int, int]] = [{} for _ in range(G.n)]
+        self._sphere_fvecs: list[FVector | None] = [None] * G.n
 
     def exit_mask(self, order: Sequence[int], x: int) -> int:
         """Bitmask of sphere positions whose vertex has smaller rank than x."""
@@ -190,6 +193,14 @@ class IndexCalculator:
     def index_sum(self, order: Sequence[int]) -> int:
         return sum(self.index(order, x) for x in range(self.G.n))
 
+    def sphere_fvec(self, x: int) -> FVector:
+        """f-vector of the whole sphere of x, counted on its first request."""
+        fvec = self._sphere_fvecs[x]
+        if fvec is None:
+            masks = self._local_masks[x]
+            fvec = self._sphere_fvecs[x] = count_cliques_in_mask(masks, (1 << len(masks)) - 1)
+        return fvec
+
     def clique_split(
         self, order: Sequence[int], x: int
     ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
@@ -202,7 +213,7 @@ class IndexCalculator:
         masks = self._local_masks[x]
         full = (1 << len(masks)) - 1
         below = self.exit_mask(order, x)
-        total = count_cliques_in_mask(masks, full)
+        total = self.sphere_fvec(x)
         pad = (0,) * len(total)
         minus = (count_cliques_in_mask(masks, below) + pad)[:len(total)]
         plus = (count_cliques_in_mask(masks, full ^ below) + pad)[:len(total)]
@@ -210,7 +221,10 @@ class IndexCalculator:
 
     @cached_property
     def fvec(self) -> tuple[int, ...]:
-        """The graph's f-vector, counted once per calculator."""
+        """The graph's f-vector, counted once per calculator.
+
+        A caller that has counted it already may assign it here instead.
+        """
         return count_cliques(self.G)
 
     def intermediate_checks(self, order: Sequence[int]) -> tuple[IdentityCheck, ...]:
@@ -283,7 +297,8 @@ def walk_index_sums(calc: IndexCalculator, start: Sequence[int]) -> Iterator[int
         raise ValueError("the swaps do not end at the reversal of the start order")
 
 
-def verify_index_stability(G: Graph, trials: int = 20, seed: int = 0) -> bool:
+def verify_index_stability(G: Graph, trials: int = 20, seed: int = 0,
+                           calc: IndexCalculator | None = None) -> bool:
     """Index sums agree across random orders and along a transposition walk.
 
     Checks that sum_x i_f(x) is the same integer, chi, for ``trials``
@@ -292,9 +307,14 @@ def verify_index_stability(G: Graph, trials: int = 20, seed: int = 0) -> bool:
     Every index is computed from scratch in the random orders and at both
     ends of the walk; a step re-evaluates only the indices it can change
     (``walk_index_sums``), so the walk costs O(1) index work per swap.
+    ``calc``, an IndexCalculator of G, is used rather than a new one, so a
+    caller's calculator shares its chi memo with this check.
     """
     import numpy as np
-    calc = IndexCalculator(G)
+    if calc is None:
+        calc = IndexCalculator(G)
+    elif calc.G is not G:
+        raise ValueError("calc must be an IndexCalculator of G")
     rng = np.random.default_rng(seed)
     chi = calc.index_sum(tuple(range(G.n)))
     for _ in range(trials):

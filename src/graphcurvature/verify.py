@@ -6,6 +6,9 @@ has edges), plus, in the exact expectation and averaging suites, one SKIP
 row per vertex above the degree cap. Skipped checks carry their reason and
 are not failures, so dense corpus graphs never block a verification run.
 Suite sizes are fixed module constants; a run sets only seed and degree cap.
+
+``run_suites`` gives every suite the same ``GraphFacts`` per graph, so the
+facts several suites read are computed once per run.
 """
 
 from __future__ import annotations
@@ -13,10 +16,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
-from .cliques import count_cliques, euler_characteristic
-from .curvature import curvature, verify_gauss_bonnet, verify_transfer_equations
+from .cliques import FVector, count_cliques, euler_characteristic, vertex_clique_degrees
+from .curvature import curvature, gauss_bonnet_check, transfer_checks
 from .expectation import exact_index_expectation, verify_averaging_equation
 from .graphs import Graph
 from .morse import (
@@ -61,111 +65,150 @@ class CheckResult:
     detail: str = ""
 
 
+class GraphFacts:
+    """What the suites read about one graph, each fact computed on first use.
+
+    Each fact comes from the function that computes it outside this module,
+    and no fact is both sides of one identity: index sums meet the clique
+    chi, sphere sums meet the clique f-vector, and the subset dynamic
+    program meets the sphere curvature.
+    """
+
+    def __init__(self, G: Graph):
+        self.G = G
+
+    @cached_property
+    def fvec(self) -> FVector:
+        """The clique f-vector, by ``count_cliques``."""
+        return count_cliques(self.G)
+
+    @cached_property
+    def calc(self) -> IndexCalculator:
+        """One IndexCalculator, so every suite shares its chi memo and its
+        sphere clique totals; its f-vector is ``fvec``."""
+        calc = IndexCalculator(self.G)
+        calc.fvec = self.fvec
+        return calc
+
+    @cached_property
+    def curvatures(self) -> tuple[Fraction, ...]:
+        """K(x) at every vertex, by ``curvature``."""
+        return tuple(curvature(self.G, x) for x in range(self.G.n))
+
+    @cached_property
+    def sphere_fvecs(self) -> tuple[FVector, ...]:
+        """The f-vector of every unit sphere, by ``vertex_clique_degrees``."""
+        return tuple(vertex_clique_degrees(self.G, x) for x in range(self.G.n))
+
+
+# (name, Graph) pairs, or the (name, GraphFacts) pairs run_suites passes.
+NamedFacts = tuple[str, Graph | GraphFacts]
+
 # The ok of a row whose check was skipped.
 SKIP = None
 
 
-def _rows(suite: str, graphs: Sequence[NamedGraph], check) -> list[CheckResult]:
+def _rows(suite: str, graphs: Sequence[NamedFacts], check) -> list[CheckResult]:
     """The rows of one suite, graph by graph.
 
-    ``check(G)`` yields one (suffix, ok, detail) per row of graph G; the row
-    is named by the graph's name plus ``suffix``; an ok of SKIP marks a
-    skipped check.
+    ``check(F)`` yields one (suffix, ok, detail) per row of a graph's facts
+    F; the row is named by the graph's name plus ``suffix``; an ok of SKIP
+    marks a skipped check. A bare Graph gets facts of its own.
     """
     return [
         CheckResult(suite, name + suffix, "SKIP" if ok is SKIP else "PASS" if ok else "FAIL", detail)
         for name, G in graphs
-        for suffix, ok, detail in check(G)
+        for suffix, ok, detail in check(G if isinstance(G, GraphFacts) else GraphFacts(G))
     ]
 
 
-def _vertex_rows(G: Graph, degree_cap: int, mismatches, passed: str, failed: str, skipped: str):
+def _vertex_rows(F: GraphFacts, degree_cap: int, mismatches, passed: str, failed: str, skipped: str):
     """One row over the vertices of degree <= degree_cap, then one SKIP row
     per vertex above it.
 
-    ``mismatches(G, x)`` lists the failures at vertex x. The row's detail is
+    ``mismatches(F, x)`` lists the failures at vertex x. The row's detail is
     ``passed`` and the count of vertices checked, or ``failed`` and the first
     five failures; a SKIP row names the ``skipped`` enumeration.
     """
+    G = F.G
     over = [x for x in range(G.n) if G.degree(x) > degree_cap]
-    bad = [m for x in range(G.n) if G.degree(x) <= degree_cap for m in mismatches(G, x)]
+    bad = [m for x in range(G.n) if G.degree(x) <= degree_cap for m in mismatches(F, x)]
     yield "", not bad, f"mismatch at {failed} {bad[:5]}" if bad else f"{passed}{G.n - len(over)}/{G.n} vertices"
     for x in over:
         yield f":v{x}", SKIP, f"degree {G.degree(x)} above cap {degree_cap}, {skipped} enumeration skipped"
 
 
-def gauss_bonnet_suite(graphs: Sequence[NamedGraph]) -> list[CheckResult]:
+def gauss_bonnet_suite(graphs: Sequence[NamedFacts]) -> list[CheckResult]:
     """Total curvature equals the clique-route Euler characteristic."""
-    def check(G):
-        c = verify_gauss_bonnet(G)
+    def check(F):
+        c = gauss_bonnet_check(F.curvatures, F.fvec)
         yield "", c.equal, f"sum K = {c.lhs}, chi = {c.rhs}"
 
     return _rows("gauss_bonnet", graphs, check)
 
 
-def poincare_hopf_suite(graphs: Sequence[NamedGraph], seed: int = DEFAULT_SEED) -> list[CheckResult]:
+def poincare_hopf_suite(graphs: Sequence[NamedFacts], seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Index sums of random orders all equal the clique-route chi."""
     import numpy as np
-    def check(G):
-        chi = euler_characteristic(count_cliques(G))
-        calc = IndexCalculator(G)
+    def check(F):
+        chi = euler_characteristic(F.fvec)
         rng = np.random.default_rng(seed)
-        sums = {calc.index_sum(random_order(G.n, rng)) for _ in range(POINCARE_HOPF_ORDERS)}
+        sums = {F.calc.index_sum(random_order(F.G.n, rng)) for _ in range(POINCARE_HOPF_ORDERS)}
         yield "", sums == {chi}, f"chi = {chi}, index sums over {POINCARE_HOPF_ORDERS} orders = {sorted(sums)}"
 
     return _rows("poincare_hopf", graphs, check)
 
 
-def transfer_suite(graphs: Sequence[NamedGraph]) -> list[CheckResult]:
+def transfer_suite(graphs: Sequence[NamedFacts]) -> list[CheckResult]:
     """sum_x V_{k-1}(x) = (k+1) v_k for every k."""
-    def check(G):
-        checks = verify_transfer_equations(G)
+    def check(F):
+        checks = transfer_checks(F.sphere_fvecs, F.fvec)
         bad = [c.k for c in checks if not c.equal]
         yield "", not bad, f"failed at k = {bad}" if bad else f"{len(checks)} k values"
 
     return _rows("transfer", graphs, check)
 
 
-def intermediate_suite(graphs: Sequence[NamedGraph], seed: int = DEFAULT_SEED) -> list[CheckResult]:
+def intermediate_suite(graphs: Sequence[NamedFacts], seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """sum_x W_k(x) = k v_{k+1} for random orders."""
     import numpy as np
-    def check(G):
+    def check(F):
         rng = np.random.default_rng(seed)
-        calc = IndexCalculator(G)
-        orders = (random_order(G.n, rng) for _ in range(INTERMEDIATE_ORDERS))
-        bad = [c for order in orders for c in calc.intermediate_checks(order) if not c.equal]
+        orders = (random_order(F.G.n, rng) for _ in range(INTERMEDIATE_ORDERS))
+        bad = [c for order in orders for c in F.calc.intermediate_checks(order) if not c.equal]
         yield "", not bad, f"failed rows: {bad[:3]}" if bad else f"{INTERMEDIATE_ORDERS} orders"
 
     return _rows("intermediate", graphs, check)
 
 
-def stability_suite(graphs: Sequence[NamedGraph], seed: int = DEFAULT_SEED) -> list[CheckResult]:
+def stability_suite(graphs: Sequence[NamedFacts], seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Index sum constant across random orders and a transposition walk."""
-    def check(G):
-        yield "", verify_index_stability(G, trials=STABILITY_ORDERS, seed=seed), f"{STABILITY_ORDERS} orders + walk"
+    def check(F):
+        ok = verify_index_stability(F.G, trials=STABILITY_ORDERS, seed=seed, calc=F.calc)
+        yield "", ok, f"{STABILITY_ORDERS} orders + walk"
 
     return _rows("stability", graphs, check)
 
 
-def expectation_suite(graphs: Sequence[NamedGraph], degree_cap: int = 16) -> list[CheckResult]:
+def expectation_suite(graphs: Sequence[NamedFacts], degree_cap: int = 16) -> list[CheckResult]:
     """exact_index_expectation equals curvature at every vertex under the cap."""
-    def mismatches(G, x):
-        return [x] if exact_index_expectation(G, x, degree_cap=degree_cap) != curvature(G, x) else []
+    def mismatches(F, x):
+        return [x] if exact_index_expectation(F.G, x, degree_cap=degree_cap) != F.curvatures[x] else []
 
-    return _rows("expectation", graphs, lambda G: _vertex_rows(
-        G, degree_cap, mismatches, "E[i] = K at ", "vertices", "2^degree"))
+    return _rows("expectation", graphs, lambda F: _vertex_rows(
+        F, degree_cap, mismatches, "E[i] = K at ", "vertices", "2^degree"))
 
 
-def averaging_suite(graphs: Sequence[NamedGraph], degree_cap: int = 16) -> list[CheckResult]:
+def averaging_suite(graphs: Sequence[NamedFacts], degree_cap: int = 16) -> list[CheckResult]:
     """E[V_k^-(x)] = V_k(x)/(k+2) at every vertex under the cap."""
-    def mismatches(G, x):
-        return [(x, c.k) for c in verify_averaging_equation(G, x, degree_cap=degree_cap) if not c.equal]
+    def mismatches(F, x):
+        return [(x, c.k) for c in verify_averaging_equation(F.G, x, degree_cap=degree_cap) if not c.equal]
 
-    return _rows("averaging", graphs, lambda G: _vertex_rows(
-        G, degree_cap, mismatches, "", "(vertex, k)", "subset"))
+    return _rows("averaging", graphs, lambda F: _vertex_rows(
+        F, degree_cap, mismatches, "", "(vertex, k)", "subset"))
 
 
-def percolation_suite(graphs: Sequence[NamedGraph], seed: int = DEFAULT_SEED) -> list[CheckResult]:
+def percolation_suite(graphs: Sequence[NamedFacts], seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Exact survival integrals, plus a short Monte Carlo sanity run.
 
     For every k <= PERCOLATION_MAX_K with v_k > 0 the polynomial route must
@@ -174,8 +217,8 @@ def percolation_suite(graphs: Sequence[NamedGraph], seed: int = DEFAULT_SEED) ->
     count_cliques. One modest site run at k=1 is checked against 1/3 within
     six standard errors.
     """
-    def check(G):
-        fvec = count_cliques(G)
+    def check(F):
+        G, fvec = F.G, F.fvec
         bad = []
         for k in range(min(PERCOLATION_MAX_K + 1, len(fvec))):
             for mode in ("site", "bond"):
@@ -200,7 +243,12 @@ def run_suites(
     seed: int = DEFAULT_SEED,
     degree_cap: int = 16,
 ) -> list[CheckResult]:
+    """Every suite's rows, the suites in the order given.
+
+    The suites share one ``GraphFacts`` per graph, dropped on return.
+    """
     options = {"seed": seed, "degree_cap": degree_cap}
+    facts = [(name, GraphFacts(G)) for name, G in graphs]
     results: list[CheckResult] = []
     for suite in suites:
         if suite not in _SUITE_OPTIONS:
@@ -208,7 +256,7 @@ def run_suites(
         # Looked up when it runs, so a suite replaced on this module (as
         # perfbench's tracer does) is the one called.
         run = globals()[f"{suite}_suite"]
-        results.extend(run(graphs, **{name: options[name] for name in _SUITE_OPTIONS[suite]}))
+        results.extend(run(facts, **{name: options[name] for name in _SUITE_OPTIONS[suite]}))
     return results
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import graphcurvature
-from graphcurvature import morse, percolation
+from graphcurvature import morse, percolation, verify
 from graphcurvature.cli import dumps, main, parse_function_file
 from graphcurvature.cliques import MAX_CLIQUE_ENTRIES
 from graphcurvature.expectation import ExpectationRow
@@ -160,9 +160,9 @@ class TestIndex:
     @pytest.mark.parametrize("text, message", [
         ("0 1\n1\n2 3", "line 2: expected 'vertex value', got '1'"),
         ("0 1\n1 2 3", "line 2: expected 'vertex value', got '1 2 3'"),
-        ("x 1", "line 1: invalid literal for int() with base 10: 'x'"),
-        ("0 1\n1 x", "line 2: Invalid literal for Fraction: 'x'"),
-        ("0 1  # c\n1 1/0", "line 2: Fraction(1, 0)"),
+        ("x 1", "line 1: non-integer vertex 'x'"),
+        ("0 1\n1 x", "line 2: value 'x' is not an integer, decimal or fraction p/q"),
+        ("0 1  # c\n1 1/0", "line 2: value '1/0' has a zero denominator"),
         ("0 1\n0 2", "line 2: vertex 0 assigned twice"),
         ("0 1\n1 2", "function must cover vertices 0..2: missing [2], extra []"),
         ("0 1\n1 2\n5 3", "function must cover vertices 0..2: missing [2], extra [5]"),
@@ -389,14 +389,15 @@ def _repeat_first_event(fn):
 
 # suite -> (module, attribute, fault, failing row, detail pattern). Each fault
 # breaks one input of one check on the octahedron (f = (6, 12, 8), chi = 2).
+# verify counts each graph's f-vector once, through its own count_cliques.
 FAULTS = {
-    "gauss_bonnet": ("curvature", "count_cliques", lambda fn: _off_by_one(fn, 0),
+    "gauss_bonnet": ("verify", "count_cliques", lambda fn: _off_by_one(fn, 0),
                      "octahedron", r"sum K = 2, chi = 3$"),
     "poincare_hopf": ("verify", "count_cliques", lambda fn: _off_by_one(fn, 0),
                       "octahedron", r"chi = 3, index sums over 20 orders = \[2\]$"),
-    "transfer": ("curvature", "count_cliques", lambda fn: _off_by_one(fn, 1),
+    "transfer": ("verify", "count_cliques", lambda fn: _off_by_one(fn, 1),
                  "octahedron", r"failed at k = \[1\]$"),
-    "intermediate": ("morse", "count_cliques", lambda fn: _off_by_one(fn, 2),
+    "intermediate": ("verify", "count_cliques", lambda fn: _off_by_one(fn, 2),
                      "octahedron", r"failed rows: \[\w+\(k=1, lhs=8, rhs=9, equal=False\), "),
     "stability": ("morse", "transposition_swaps", _no_swaps,
                   "octahedron", r"50 orders \+ walk$"),
@@ -447,6 +448,31 @@ class TestVerifyFailures:
         failed = [r for r in json.loads(out)["results"] if r["status"] == "FAIL"]
         assert [r["name"] for r in failed] == ["octahedron:exact"]
         assert re.match(detail, failed[0]["detail"]), failed[0]["detail"]
+
+    @pytest.mark.parametrize("k, failing", [
+        (1, ["gauss_bonnet", "poincare_hopf", "transfer", "percolation"]),
+        (2, ["gauss_bonnet", "poincare_hopf", "transfer", "intermediate", "percolation"]),
+    ], ids=["v1", "v2"])
+    def test_shared_fvec_fault_fails_every_row_that_reads_it(self, capsys, monkeypatch, k, failing):
+        """All suites read one f-vector per graph, and only ever as a right-hand
+        side, so one wrong entry fails every row whose right-hand side holds it."""
+        monkeypatch.setattr(verify, "count_cliques", _off_by_one(verify.count_cliques, k))
+        code, out = run_cli(capsys, "verify", "octahedron", "--format", "json")
+        assert code == 1
+        failed = [(r["suite"], r["name"]) for r in json.loads(out)["results"] if r["status"] == "FAIL"]
+        assert failed == [(s, "octahedron:exact" if s == "percolation" else "octahedron") for s in failing]
+
+    def test_order_dependent_index_fault_fails_both_index_rows(self, capsys, monkeypatch):
+        """An index one too large at vertex 0 whenever its rank is even moves the
+        sum between orders, so both suites that sum indices fail: poincare_hopf
+        against the clique chi, stability against its identity-order sum."""
+        fn = morse.IndexCalculator.index
+        monkeypatch.setattr(morse.IndexCalculator, "index",
+                            lambda self, order, x: fn(self, order, x) + (x == 0 and order[0] % 2 == 0))
+        code, out = run_cli(capsys, "verify", "octahedron", "--format", "json")
+        assert code == 1
+        failed = [(r["suite"], r["name"]) for r in json.loads(out)["results"] if r["status"] == "FAIL"]
+        assert failed == [("poincare_hopf", "octahedron"), ("stability", "octahedron")]
 
     def test_human_output_names_the_failure(self, capsys, monkeypatch):
         module, attr, fault, _, _ = FAULTS["transfer"]

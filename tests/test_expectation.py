@@ -209,6 +209,15 @@ def test_subset_tables_against_brute_force(n, q, seed):
         assert_tables_match_brute_force(G, x)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(min_value=-10**12, max_value=10**12), min_size=1, max_size=26))
+def test_uniform_rank_mean_is_the_fraction_sum(sums):
+    """The one integer sum over (d+1)! equals (1/(d+1)) sum_m s_m / C(d, m) term by term."""
+    d = len(sums) - 1
+    definition = sum((Fraction(s, comb(d, m)) for m, s in enumerate(sums)), Fraction(0)) / (d + 1)
+    assert expectation._uniform_rank_mean(sums) == definition
+
+
 class TestSymmetryInvolution:
     def test_exit_and_entrance_chi_expectations_equal(self):
         # E over all orders of chi(S^-) equals that of chi(S^+), computed

@@ -276,6 +276,19 @@ class TestCliqueSplit:
                 assert calc.exit_mask(f, highest) == (1 << G.degree(highest)) - 1
             assert calc.clique_split(f, 12) == ((), (), ())
 
+    def test_whole_sphere_counted_once_per_calculator(self, monkeypatch):
+        """Each split counts its two sides; the whole sphere is counted on a
+        vertex's first split only, since it does not depend on the order."""
+        G = erdos_renyi(10, 0.6, seed=5)
+        calls = []
+        count = morse.count_cliques_in_mask
+        monkeypatch.setattr(morse, "count_cliques_in_mask", lambda *args: calls.append(1) or count(*args))
+        calc = IndexCalculator(G)
+        orders = [random_order(10, s) for s in range(4)]
+        splits = [calc.clique_split(f, x) for f in orders for x in range(10)]
+        assert len(calls) == 10 + 2 * len(splits)
+        assert splits == [IndexCalculator(G).clique_split(f, x) for f in orders for x in range(10)]
+
     def test_w0_identically_zero(self):
         G = complete_graph(5)
         calc = IndexCalculator(G)
@@ -355,6 +368,11 @@ class TestTranspositionPath:
     def test_stability(self):
         for G in (cycle_graph(7), complete_graph(5), erdos_renyi(10, 0.5, seed=6)):
             assert verify_index_stability(G, trials=25, seed=3)
+            assert verify_index_stability(G, trials=25, seed=3, calc=IndexCalculator(G))
+
+    def test_calculator_of_another_graph_is_refused(self):
+        with pytest.raises(ValueError, match="IndexCalculator of G"):
+            verify_index_stability(cycle_graph(7), calc=IndexCalculator(cycle_graph(7)))
 
 
 def _bubble_reversal_orders(start):
