@@ -45,8 +45,8 @@ MAX_SUBSET_DEGREE = 24
 # so the rows kept per block stay small however many targets there are.
 _BLOCK_INDICES = 1 << 12
 
-# Subsets per numpy call. Gathers and np.add.at widen their operands to
-# int64 first, and chunks keep those copies small beside the int32 tables.
+# Subsets per numpy call. Gathers and bincount widen their operands to 64
+# bits first, and chunks keep those copies small beside the int32 tables.
 # Gathers use mode="clip" (every index is in range) so np.take writes its
 # output in place instead of through a buffer.
 _CHUNK = 1 << 16
@@ -87,35 +87,57 @@ def _uniform_rank_mean(sums: Sequence[int]) -> Fraction:
     return Fraction(sum(s * factorial(m) * factorial(d - m) for m, s in enumerate(sums)), factorial(d + 1))
 
 
+# Popcounts of 0 .. 2^d - 1 for the largest d seen so far; read-only, so a
+# vertex's tables take theirs as a slice of it.
+_POPCOUNTS = None
+
+
+def _popcounts(d: int) -> np.ndarray:
+    """Read-only uint8 popcounts of 0 .. 2^d - 1, a slice of one shared array."""
+    import numpy as np
+    global _POPCOUNTS
+    pop = _POPCOUNTS
+    if pop is None or len(pop) < 1 << d:
+        pop = np.zeros(1 << d, dtype=np.uint8)
+        for start, stop, lo in _blocks(1 << d):
+            np.add(pop[start - lo:stop - lo], 1, out=pop[start:stop])
+        pop.flags.writeable = False
+        _POPCOUNTS = pop
+    return pop[:1 << d]
+
+
 def _subset_tables(G: Graph, x: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
     """Sphere masks of x, subset sizes, and the split index of every subset.
 
     For a subset A of S(x) with highest vertex v, ``split[A]`` is
-    N(v) & (A - v); ``split[0]`` is 0.
+    N(v) & (A - v); ``split[0]`` is 0. The sizes are a read-only slice of
+    ``_popcounts``.
     """
     import numpy as np
     d = _check_degree(G, x, MAX_SUBSET_DEGREE, f"{MAX_SUBSET_DEGREE} limit for subset tables")
     masks = sphere_masks(G, x)
-    pop = np.zeros(1 << d, dtype=np.uint8)
     split = np.arange(1 << d, dtype=np.int32)
     for start, stop, lo in _blocks(1 << d):
-        np.add(pop[start - lo:stop - lo], 1, out=pop[start:stop])
         # A has highest bit v and N(v) lacks v, so A & N(v) = N(v) & (A - v).
         np.bitwise_and(split[start:stop], masks[lo.bit_length() - 1], out=split[start:stop])
-    return masks, pop, split
+    return masks, _popcounts(d), split
 
 
 def _sums_by_size(pop: np.ndarray, table: np.ndarray) -> tuple[int, ...]:
-    """Exact sums of ``table`` over the subsets of each size, as Python ints."""
+    """Exact sums of ``table`` over the subsets of each size, as Python ints.
+
+    Each chunk's float64 ``bincount`` is exact: 2^16 int32 values sum below
+    2^47, under float64's 2^53.
+    """
     import numpy as np
     out = np.zeros(int(pop[-1]) + 1, dtype=np.int64)  # pop[-1] = d
     for start in range(0, len(pop), _CHUNK):
         chunk = slice(start, start + _CHUNK)
-        np.add.at(out, pop[chunk], table[chunk].astype(np.int64))
+        out += np.bincount(pop[chunk], weights=table[chunk], minlength=len(out)).astype(np.int64)
     return tuple(int(v) for v in out)
 
 
-def chi_by_subset_size(G: Graph, x: int) -> tuple[int, ...]:
+def chi_by_subset_size(G: Graph, x: int, *, tables=None) -> tuple[int, ...]:
     """Entry m: sum of chi over all m-vertex subsets of the sphere of x.
 
     Built by one dynamic program over subset bitmasks. Removing the highest
@@ -124,10 +146,11 @@ def chi_by_subset_size(G: Graph, x: int) -> tuple[int, ...]:
     neighborhood within A. The subsets with highest vertex j depend only on
     those below 2^j, so the 2^d table is built in d vectorised steps. The
     int32 table is exact up to degree ``MAX_SUBSET_DEGREE``; above it
-    DegreeCapError is raised before anything is allocated.
+    DegreeCapError is raised before anything is allocated. ``tables`` is
+    ``_subset_tables(G, x)`` when the caller has built it already.
     """
     import numpy as np
-    _, pop, split = _subset_tables(G, x)
+    _, pop, split = tables or _subset_tables(G, x)
     chi = np.zeros(len(pop), dtype=np.int32)
     below = np.empty(min(len(pop), _CHUNK), dtype=np.int32)
     for start, stop, lo in _blocks(len(pop)):
@@ -149,7 +172,12 @@ def exact_index_expectation(G: Graph, x: int, degree_cap: int = 20) -> Fraction:
     Work and memory scale with 2^deg(x); ``degree_cap`` guards the blowup.
     """
     _check_degree(G, x, degree_cap, f"cap {degree_cap} for 2^degree subset enumeration")
-    return 1 - _uniform_rank_mean(chi_by_subset_size(G, x))
+    return expected_index(chi_by_subset_size(G, x))
+
+
+def expected_index(chi_sums: Sequence[int]) -> Fraction:
+    """E[i_f(x)] from the sums ``chi_by_subset_size(G, x)`` returns."""
+    return 1 - _uniform_rank_mean(chi_sums)
 
 
 def exact_expectation_by_permutations(G: Graph, max_n: int = 8) -> tuple[Fraction, ...]:
@@ -171,7 +199,7 @@ def exact_expectation_by_permutations(G: Graph, max_n: int = 8) -> tuple[Fractio
     return tuple(Fraction(t, count) for t in totals)
 
 
-def clique_counts_by_subset_size(G: Graph, x: int) -> tuple[tuple[int, ...], ...]:
+def clique_counts_by_subset_size(G: Graph, x: int, *, tables=None) -> tuple[tuple[int, ...], ...]:
     """Entry [m][k]: total (k+1)-cliques summed over all m-subsets of S(x).
 
     One dynamic-programming pass per clique size over the 2^deg subset
@@ -180,10 +208,10 @@ def clique_counts_by_subset_size(G: Graph, x: int) -> tuple[tuple[int, ...], ...
     ``chi_by_subset_size``, each pass takes d vectorised steps, one per
     highest vertex, and the int32 tables are exact up to degree
     ``MAX_SUBSET_DEGREE``; above it DegreeCapError is raised before
-    anything is allocated.
+    anything is allocated. ``tables`` is as in ``chi_by_subset_size``.
     """
     import numpy as np
-    masks, pop, split = _subset_tables(G, x)
+    masks, pop, split = tables or _subset_tables(G, x)
     d = len(masks)
     kmax = len(count_cliques_in_mask(masks, len(pop) - 1))
     if kmax == 0:
@@ -209,9 +237,15 @@ def verify_averaging_equation(G: Graph, x: int, degree_cap: int = 16) -> tuple[I
     mixture that random orders induce. Only k with V_k(x) > 0 appear.
     """
     _check_degree(G, x, degree_cap, f"cap {degree_cap} for subset clique enumeration")
+    return averaging_checks(clique_counts_by_subset_size(G, x))
+
+
+def averaging_checks(counts: Sequence[Sequence[int]]) -> tuple[IdentityCheck, ...]:
+    """The checks of ``verify_averaging_equation`` on the table
+    ``clique_counts_by_subset_size(G, x)`` returns."""
     checks = []
     # The only d-subset of S(x) is S(x) itself, so a column's last entry is V_k(x).
-    for k, sums in enumerate(zip(*clique_counts_by_subset_size(G, x))):
+    for k, sums in enumerate(zip(*counts)):
         lhs = _uniform_rank_mean(sums)
         rhs = Fraction(sums[-1], k + 2)
         checks.append(IdentityCheck(k, lhs, rhs, lhs == rhs))

@@ -42,7 +42,7 @@ def random_order(n: int, rng: np.random.Generator | int | None = None) -> Vertex
     import numpy as np
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    return tuple(int(r) for r in rng.permutation(n))
+    return tuple(rng.permutation(n).tolist())
 
 
 def reverse_order(order: Sequence[int]) -> VertexOrder:

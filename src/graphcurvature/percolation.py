@@ -56,28 +56,29 @@ class SurvivalPolynomial:
         return Fraction(self.coefficient, self.exponent + 1)
 
 
-def exact_survival_polynomial(G: Graph, k: int, mode: str = "site") -> SurvivalPolynomial:
+def exact_survival_polynomial(G: Graph, k: int, mode: str = "site", *, hosts=None) -> SurvivalPolynomial:
     """Expected survivor count as an exact polynomial in p, by linearity.
 
     The coefficient counts the host cliques in the Monte Carlo engine's own
     event lists that need exactly ``exponent`` distinct keep events, so
-    checking it against count_cliques checks those lists.
+    checking it against count_cliques checks those lists. ``hosts`` is
+    ``cliques_of_size(G, k + 1)`` when the caller has listed it already.
     """
     exponent = survival_exponent(k, mode)
-    hosts = sum(len(set(events)) == exponent for events in _clique_events(G, k, mode).tolist())
-    return SurvivalPolynomial(k=k, mode=mode, coefficient=hosts, exponent=exponent)
+    count = sum(len(set(events)) == exponent for events in _clique_events(G, k, mode, hosts).tolist())
+    return SurvivalPolynomial(k=k, mode=mode, coefficient=count, exponent=exponent)
 
 
-def _clique_events(G: Graph, k: int, mode: str) -> np.ndarray:
+def _clique_events(G: Graph, k: int, mode: str, hosts=None) -> np.ndarray:
     """The keep events each host (k+1)-clique needs, one row per clique.
 
     Site events are vertex ids; bond events are edge ids into G.edges. A
     host clique survives decimation iff all of its events are kept, which
     is exactly v_k of the decimated graph since decimation cannot create
-    cliques.
+    cliques. ``hosts`` is as in ``exact_survival_polynomial``.
     """
     import numpy as np
-    cliques = cliques_of_size(G, k + 1)
+    cliques = cliques_of_size(G, k + 1) if hosts is None else hosts
     sites = np.array(cliques, dtype=np.intp).reshape(len(cliques), k + 1)
     if mode == "site":
         return sites

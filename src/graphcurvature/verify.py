@@ -17,11 +17,18 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import comb
 from typing import Sequence
 
-from .cliques import FVector, count_cliques, euler_characteristic, vertex_clique_degrees
+from .cliques import FVector, cliques_of_size, count_cliques, euler_characteristic
 from .curvature import curvature, gauss_bonnet_check, transfer_checks
-from .expectation import exact_index_expectation, verify_averaging_equation
+from .expectation import (
+    _subset_tables,
+    averaging_checks,
+    chi_by_subset_size,
+    clique_counts_by_subset_size,
+    expected_index,
+)
 from .graphs import Graph
 from .morse import (
     IndexCalculator,
@@ -71,11 +78,15 @@ class GraphFacts:
     Each fact comes from the function that computes it outside this module,
     and no fact is both sides of one identity: index sums meet the clique
     chi, sphere sums meet the clique f-vector, and the subset dynamic
-    program meets the sphere curvature.
+    program meets the sphere curvature and the calculator's sphere counts.
+    ``suites`` names the suites that will read the facts, so that only
+    the subset tables they check are summed.
     """
 
-    def __init__(self, G: Graph):
+    def __init__(self, G: Graph, suites: Sequence[str]):
         self.G = G
+        self.suites = suites
+        self._subset_sums: dict[int, tuple] = {}
 
     @cached_property
     def fvec(self) -> FVector:
@@ -97,8 +108,31 @@ class GraphFacts:
 
     @cached_property
     def sphere_fvecs(self) -> tuple[FVector, ...]:
-        """The f-vector of every unit sphere, by ``vertex_clique_degrees``."""
-        return tuple(vertex_clique_degrees(self.G, x) for x in range(self.G.n))
+        """The f-vector of every unit sphere, by the calculator's
+        ``sphere_fvec``; ``curvatures`` counts the spheres on a route of
+        its own, ``vertex_clique_degrees``."""
+        return tuple(self.calc.sphere_fvec(x) for x in range(self.G.n))
+
+    def subset_sums(self, x: int) -> tuple:
+        """``chi_by_subset_size`` and ``clique_counts_by_subset_size`` at x,
+        both from one ``_subset_tables`` build, dropped on return. Each is
+        None unless its suite (``expectation``, ``averaging``) is in
+        ``suites``."""
+        sums = self._subset_sums.get(x)
+        if sums is None:
+            G, tables = self.G, _subset_tables(self.G, x)
+            sums = self._subset_sums[x] = (
+                chi_by_subset_size(G, x, tables=tables) if "expectation" in self.suites else None,
+                clique_counts_by_subset_size(G, x, tables=tables) if "averaging" in self.suites else None,
+            )
+        return sums
+
+    def closed_form_counts(self, x: int) -> tuple[tuple[int, ...], ...]:
+        """Entry [m][k]: V_k(x) C(d-k-1, m-k-1), as each (k+1)-clique of the
+        sphere lies in that many of its m-subsets; V from ``sphere_fvecs``."""
+        V, d = self.sphere_fvecs[x], self.G.degree(x)
+        return tuple(tuple(v * comb(d - k - 1, m - k - 1) if m > k else 0 for k, v in enumerate(V))
+                     for m in range(d + 1))
 
 
 # (name, Graph) pairs, or the (name, GraphFacts) pairs run_suites passes.
@@ -118,7 +152,7 @@ def _rows(suite: str, graphs: Sequence[NamedFacts], check) -> list[CheckResult]:
     return [
         CheckResult(suite, name + suffix, "SKIP" if ok is SKIP else "PASS" if ok else "FAIL", detail)
         for name, G in graphs
-        for suffix, ok, detail in check(G if isinstance(G, GraphFacts) else GraphFacts(G))
+        for suffix, ok, detail in check(G if isinstance(G, GraphFacts) else GraphFacts(G, (suite,)))
     ]
 
 
@@ -191,18 +225,26 @@ def stability_suite(graphs: Sequence[NamedFacts], seed: int = DEFAULT_SEED) -> l
 
 
 def expectation_suite(graphs: Sequence[NamedFacts], degree_cap: int = 16) -> list[CheckResult]:
-    """exact_index_expectation equals curvature at every vertex under the cap."""
+    """The subset dynamic program's E[i_f(x)] equals curvature at every
+    vertex under the cap, and its chi sums equal their closed form."""
     def mismatches(F, x):
-        return [x] if exact_index_expectation(F.G, x, degree_cap=degree_cap) != F.curvatures[x] else []
+        chi = F.subset_sums(x)[0]
+        closed = tuple(sum(-c if k % 2 else c for k, c in enumerate(row)) for row in F.closed_form_counts(x))
+        return [] if expected_index(chi) == F.curvatures[x] and chi == closed else [x]
 
     return _rows("expectation", graphs, lambda F: _vertex_rows(
         F, degree_cap, mismatches, "E[i] = K at ", "vertices", "2^degree"))
 
 
 def averaging_suite(graphs: Sequence[NamedFacts], degree_cap: int = 16) -> list[CheckResult]:
-    """E[V_k^-(x)] = V_k(x)/(k+2) at every vertex under the cap."""
+    """E[V_k^-(x)] = V_k(x)/(k+2) at every vertex under the cap, and every
+    entry of the clique-count table equals its closed form."""
     def mismatches(F, x):
-        return [(x, c.k) for c in verify_averaging_equation(F.G, x, degree_cap=degree_cap) if not c.equal]
+        counts = F.subset_sums(x)[1]
+        means = averaging_checks(counts)
+        got, want = list(zip(*counts)), list(zip(*F.closed_form_counts(x)))
+        return [(x, k) for k in range(max(len(got), len(want)))
+                if got[k:k + 1] != want[k:k + 1] or not means[k].equal]
 
     return _rows("averaging", graphs, lambda F: _vertex_rows(
         F, degree_cap, mismatches, "", "(vertex, k)", "subset"))
@@ -213,16 +255,17 @@ def percolation_suite(graphs: Sequence[NamedFacts], seed: int = DEFAULT_SEED) ->
 
     For every k <= PERCOLATION_MAX_K with v_k > 0 the polynomial route must
     integrate to v_k/(exponent+1) in both modes; its coefficient counts the
-    Monte Carlo engine's event lists, so this checks them against
-    count_cliques. One modest site run at k=1 is checked against 1/3 within
-    six standard errors.
+    Monte Carlo engine's event lists, built from one host listing per k, so
+    this checks them against count_cliques. One modest site run at k=1 is
+    checked against 1/3 within six standard errors.
     """
     def check(F):
         G, fvec = F.G, F.fvec
         bad = []
         for k in range(min(PERCOLATION_MAX_K + 1, len(fvec))):
+            hosts = cliques_of_size(G, k + 1)
             for mode in ("site", "bond"):
-                poly = exact_survival_polynomial(G, k, mode)
+                poly = exact_survival_polynomial(G, k, mode, hosts=hosts)
                 e = survival_exponent(k, mode)
                 if poly.integral() != Fraction(fvec[k], e + 1):
                     bad.append((k, mode))
@@ -248,7 +291,7 @@ def run_suites(
     The suites share one ``GraphFacts`` per graph, dropped on return.
     """
     options = {"seed": seed, "degree_cap": degree_cap}
-    facts = [(name, GraphFacts(G)) for name, G in graphs]
+    facts = [(name, GraphFacts(G, suites)) for name, G in graphs]
     results: list[CheckResult] = []
     for suite in suites:
         if suite not in _SUITE_OPTIONS:

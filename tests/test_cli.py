@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import graphcurvature
-from graphcurvature import morse, percolation, verify
+from graphcurvature import expectation, morse, percolation, verify
 from graphcurvature.cli import dumps, main, parse_function_file
 from graphcurvature.cliques import MAX_CLIQUE_ENTRIES
 from graphcurvature.expectation import ExpectationRow
@@ -342,8 +342,8 @@ def _curvature_off_at_vertex_2(fn):
 
 def _table_off_at_vertex_3(fn):
     """Subset tables whose 1-subset vertex count is one too large at vertex 3."""
-    def wrong(G, x):
-        table = [list(row) for row in fn(G, x)]
+    def wrong(G, x, **tables):
+        table = [list(row) for row in fn(G, x, **tables)]
         if x == 3:
             table[1][0] += 1
         return tuple(tuple(row) for row in table)
@@ -374,13 +374,13 @@ def _index_reads_antipode(fn):
 
 def _drop_first_host(fn):
     """Clique event lists without their first host clique."""
-    return lambda G, k, mode: fn(G, k, mode)[1:]
+    return lambda G, k, mode, *hosts: fn(G, k, mode, *hosts)[1:]
 
 
 def _repeat_first_event(fn):
     """Clique event lists whose first host needs its first event twice."""
-    def wrong(G, k, mode):
-        events = fn(G, k, mode).copy()
+    def wrong(G, k, mode, *hosts):
+        events = fn(G, k, mode, *hosts).copy()
         if events.shape[1] > 1:
             events[0, 1] = events[0, 0]
         return events
@@ -403,7 +403,7 @@ FAULTS = {
                   "octahedron", r"50 orders \+ walk$"),
     "expectation": ("verify", "curvature", _curvature_off_at_vertex_2,
                     "octahedron", r"mismatch at vertices \[2\]$"),
-    "averaging": ("expectation", "clique_counts_by_subset_size", _table_off_at_vertex_3,
+    "averaging": ("verify", "clique_counts_by_subset_size", _table_off_at_vertex_3,
                   "octahedron", r"mismatch at \(vertex, k\) \[\(3, 0\)\]$"),
     "percolation": ("verify", "count_cliques", lambda fn: _off_by_one(fn, 1),
                     "octahedron:exact", r"failed: \[\(1, 'site'\), \(1, 'site', 'host dependence'\)"),
@@ -473,6 +473,38 @@ class TestVerifyFailures:
         assert code == 1
         failed = [(r["suite"], r["name"]) for r in json.loads(out)["results"] if r["status"] == "FAIL"]
         assert failed == [("poincare_hopf", "octahedron"), ("stability", "octahedron")]
+
+    @pytest.mark.parametrize("owner, attr, fault, failing", [
+        (morse.IndexCalculator, "sphere_fvec", lambda fn: _off_by_one(fn, 0),
+         ["transfer", "intermediate", "expectation", "averaging"]),
+        (importlib.import_module("graphcurvature.curvature"), "vertex_clique_degrees",
+         lambda fn: _off_by_one(fn, 0),
+         ["gauss_bonnet", "expectation"]),
+    ], ids=["calculator_spheres", "curvature_spheres"])
+    def test_sphere_routes_stay_apart(self, capsys, monkeypatch, owner, attr, fault, failing):
+        """Gauss-Bonnet reads the spheres through ``curvature``, transfer through
+        the calculator, so a wrong sphere count on one route fails one of them
+        and leaves the other passing."""
+        monkeypatch.setattr(owner, attr, fault(getattr(owner, attr)))
+        code, out = run_cli(capsys, "verify", "octahedron", "--format", "json")
+        assert code == 1
+        failed = [r["suite"] for r in json.loads(out)["results"] if r["status"] == "FAIL"]
+        assert failed == failing
+
+    @pytest.mark.parametrize("attr, fault, failing", [
+        ("chi_by_subset_size", lambda fn: lambda *a, **kw: fn(*a, **kw)[::-1], {"expectation"}),
+        ("_sums_by_size", lambda fn: lambda *a: (lambda s: s[:1] + s[-2:0:-1] + s[-1:])(fn(*a)),
+         {"expectation", "averaging"}),
+    ], ids=["chi_sums_reversed", "interior_sizes_reversed"])
+    def test_size_reversed_tables_are_reported(self, capsys, monkeypatch, attr, fault, failing):
+        """Reversing a table's size axis keeps every uniform-rank mean, as the
+        weights 1/C(d, m) are symmetric; the entries' closed forms catch it."""
+        owner = verify if attr == "chi_by_subset_size" else expectation
+        monkeypatch.setattr(owner, attr, fault(getattr(owner, attr)))
+        code, out = run_cli(capsys, "verify", "--format", "json")
+        assert code == 1
+        failed = {r["suite"] for r in json.loads(out)["results"] if r["status"] == "FAIL"}
+        assert failed == failing
 
     def test_human_output_names_the_failure(self, capsys, monkeypatch):
         module, attr, fault, _, _ = FAULTS["transfer"]

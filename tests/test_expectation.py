@@ -209,6 +209,33 @@ def test_subset_tables_against_brute_force(n, q, seed):
         assert_tables_match_brute_force(G, x)
 
 
+class TestSizeSums:
+    def test_extreme_int32_tables_sum_exactly(self):
+        # Degree 18: four chunks of subsets, each value +-(2^31 - 1).
+        d = 18
+        pop = expectation._popcounts(d)
+        signs = np.random.default_rng(5).choice([-1, 1], size=1 << d)
+        for table in (np.full(1 << d, 2**31 - 1), signs * (2**31 - 1), -np.full(1 << d, 2**31 - 1)):
+            table = table.astype(np.int32)
+            exact = [0] * (d + 1)
+            for m, v in zip(pop.tolist(), table.tolist()):
+                exact[m] += v
+            sums = expectation._sums_by_size(pop, table)
+            assert sums == tuple(exact)
+            assert all(type(v) is int for v in sums)
+
+    def test_popcounts_are_read_only_slices_of_one_array(self):
+        big = expectation._popcounts(10)
+        small = expectation._popcounts(3)
+        assert small.tolist() == [bin(i).count("1") for i in range(8)]
+        assert big.tolist() == [bin(i).count("1") for i in range(1 << 10)]
+        assert np.shares_memory(small, expectation._popcounts(10))
+        with pytest.raises(ValueError):
+            small[0] = 1
+        with pytest.raises(ValueError):
+            expectation._subset_tables(icosahedron(), 0)[1][1] = 0
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(min_value=-10**12, max_value=10**12), min_size=1, max_size=26))
 def test_uniform_rank_mean_is_the_fraction_sum(sums):

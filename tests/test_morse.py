@@ -52,6 +52,12 @@ class TestOrders:
         seen = {random_order(3, s) for s in range(200)}
         assert len(seen) == 6
 
+    @pytest.mark.parametrize("n", [0, 1, 30])
+    def test_random_order_is_the_permutation_as_python_ints(self, n):
+        order = random_order(n, 7)
+        assert type(order) is tuple and all(type(r) is int for r in order)
+        assert order == tuple(np.random.default_rng(7).permutation(n))
+
     def test_reverse(self):
         assert reverse_order((0, 3, 1, 2)) == (3, 0, 2, 1)
         f = random_order(8, 1)

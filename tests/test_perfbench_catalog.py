@@ -13,8 +13,7 @@ from pathlib import Path
 
 import pytest
 
-import graphcurvature
-from graphcurvature import cli, verify  # noqa: F401  (the catalog names both)
+import graphcurvature.cli  # noqa: F401  (the catalog names cli and verify)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER_PATH = PERFBENCH / "tracer.py"
@@ -26,6 +25,16 @@ def tracer():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _package():
+    """graphcurvature and its CLI as ``sys.modules`` holds them now.
+
+    perfbench's run.py imports the package afresh, and the tracer patches
+    the modules it finds there, so a test that ran after it must not call
+    the modules this file imported first.
+    """
+    return sys.modules["graphcurvature"], sys.modules["graphcurvature.cli"]
 
 
 def _owner_and_attr(module, path):
@@ -58,7 +67,8 @@ def test_install_then_uninstall_restores_every_original(tracer):
             owner, attr = _owner_and_attr(module, path)
             assert vars(owner)[attr] is not before[(id(owner), attr)], name
         # the wrapped functions still compute, and record their calls
-        assert graphcurvature.graph_euler_characteristic(graphcurvature.icosahedron()) == 2
+        gc, _ = _package()
+        assert gc.graph_euler_characteristic(gc.icosahedron()) == 2
         assert t.totals()[0]["cliques.count_cliques"][0] == 1
     finally:
         t.uninstall()
@@ -94,7 +104,8 @@ def _run_traced(tracer, wl, ctx):
 
 def test_chi_geometric_op_records_every_expected_layer(tracer, workloads, tmp_path):
     wl = workloads.WORKLOADS["chi_geometric"]
-    ctx = workloads.Context(gc=graphcurvature, cli=cli, seed=3, workers=1, workdir=tmp_path,
+    gc, cli = _package()
+    ctx = workloads.Context(gc=gc, cli=cli, seed=3, workers=1, workdir=tmp_path,
                             text=workloads.inputs.geometric_torus_text(400, 8, 3))
     (G, *chis), missing = _run_traced(tracer, wl, ctx)
     assert missing == []
@@ -104,7 +115,8 @@ def test_chi_geometric_op_records_every_expected_layer(tracer, workloads, tmp_pa
 def test_exact_dense_op_records_every_expected_layer(tracer, workloads, tmp_path):
     """The verify layers, the stability walk's index evaluations among them."""
     wl = workloads.WORKLOADS["exact_dense"]
-    ctx = workloads.Context(gc=graphcurvature, cli=cli, seed=3, workers=1, workdir=tmp_path)
+    gc, cli = _package()
+    ctx = workloads.Context(gc=gc, cli=cli, seed=3, workers=1, workdir=tmp_path)
     workloads.dense_inputs(ctx)
     result, missing = _run_traced(tracer, wl, ctx)
     assert missing == []
@@ -116,7 +128,8 @@ def test_monte_carlo_op_records_every_expected_layer(tracer, workloads, tmp_path
     """The op at 2,000 samples, under its own check."""
     monkeypatch.setattr(workloads, "MC_SAMPLES", 2_000)
     wl = workloads.WORKLOADS["monte_carlo"]
-    ctx = workloads.Context(gc=graphcurvature, cli=cli, seed=3, workers=1, workdir=tmp_path)
+    gc, cli = _package()
+    ctx = workloads.Context(gc=gc, cli=cli, seed=3, workers=1, workdir=tmp_path)
     ctx.expected["fingerprint"] = workloads.inputs.fingerprint(wl.make_inputs(ctx))
     result, missing = _run_traced(tracer, wl, ctx)
     assert missing == []
@@ -126,7 +139,8 @@ def test_monte_carlo_op_records_every_expected_layer(tracer, workloads, tmp_path
 def test_verify_corpus_op_records_every_expected_layer(tracer, workloads, tmp_path):
     """`graphcurv verify` on the built-in corpus, under its own check of the rows per suite."""
     wl = workloads.WORKLOADS["verify_corpus"]
-    ctx = workloads.Context(gc=graphcurvature, cli=cli, seed=3, workers=1, workdir=tmp_path)
+    gc, cli = _package()
+    ctx = workloads.Context(gc=gc, cli=cli, seed=3, workers=1, workdir=tmp_path)
     wl.make_inputs(ctx)
     result, missing = _run_traced(tracer, wl, ctx)
     assert missing == []

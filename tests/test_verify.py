@@ -3,7 +3,7 @@
 import sys
 from collections import Counter
 
-from graphcurvature import cliques, morse
+from graphcurvature import cliques, expectation, morse
 from graphcurvature.graphs import complete_graph, cycle_graph, erdos_renyi, octahedron, path_graph
 from graphcurvature.verify import run_suites, summarize
 
@@ -16,18 +16,19 @@ GRAPHS = [
 ]
 
 
-def _count_calls_per_graph(monkeypatch, fn, calls: Counter):
+def _count_calls_per_graph(monkeypatch, fn, calls: Counter, key=lambda G, *args: id(G)):
     """Replace ``fn`` under every graphcurvature module name bound to it by a
-    wrapper that counts its calls in ``calls``, keyed by the id of the graph."""
+    wrapper that counts its calls in ``calls``, keyed by ``key`` of its
+    positional arguments (by default, the id of the graph)."""
     def counted(G, *args, **kwargs):
-        calls[id(G)] += 1
+        calls[key(G, *args)] += 1
         return fn(G, *args, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if name == "graphcurvature" or name.startswith("graphcurvature."):
-            for key, value in list(vars(module).items()):
+            for attr, value in list(vars(module).items()):
                 if value is fn:
-                    monkeypatch.setattr(module, key, counted)
+                    monkeypatch.setattr(module, attr, counted)
 
 
 def test_one_clique_count_and_one_index_calculator_per_graph(monkeypatch):
@@ -44,3 +45,47 @@ def test_one_clique_count_and_one_index_calculator_per_graph(monkeypatch):
     assert summarize(results)["failed"] == 0
     assert {name: fvecs[id(G)] for name, G in GRAPHS} == {name: 1 for name, _ in GRAPHS}
     assert {name: calculators[id(G)] for name, G in GRAPHS} == {name: 1 for name, _ in GRAPHS}
+
+
+def test_one_subset_table_build_per_vertex_under_the_cap(monkeypatch):
+    """Both table suites read the size sums of one ``_subset_tables`` build."""
+    builds = Counter()
+    _count_calls_per_graph(monkeypatch, expectation._subset_tables, builds, key=lambda G, x: (id(G), x))
+    results = run_suites(GRAPHS, suites=("expectation", "averaging"), degree_cap=3)
+    assert summarize(results)["failed"] == 0
+    assert builds == Counter({(id(G), x): 1 for _, G in GRAPHS for x in range(G.n) if G.degree(x) <= 3})
+
+
+def test_expectation_alone_counts_no_subset_cliques(monkeypatch):
+    tables, counts = Counter(), Counter()
+    _count_calls_per_graph(monkeypatch, expectation.chi_by_subset_size, tables)
+    _count_calls_per_graph(monkeypatch, expectation.clique_counts_by_subset_size, counts)
+    results = run_suites(GRAPHS, suites=("expectation",))
+    assert summarize(results) == {"passed": len(GRAPHS), "failed": 0, "skipped": 0, "ok": True}
+    assert sum(tables.values()) == sum(G.n for _, G in GRAPHS)
+    assert counts == Counter()
+
+
+def test_one_sphere_enumeration_per_vertex(monkeypatch):
+    """``curvature`` counts each sphere by ``vertex_clique_degrees``; ``transfer``
+    reads the calculator's counts instead of counting it again."""
+    spheres = Counter()
+    _count_calls_per_graph(monkeypatch, cliques.vertex_clique_degrees, spheres, key=lambda G, x: (id(G), x))
+    results = run_suites(GRAPHS, seed=3)
+    assert summarize(results)["failed"] == 0
+    assert spheres == Counter({(id(G), x): 1 for _, G in GRAPHS for x in range(G.n)})
+
+
+def test_one_host_listing_per_clique_size_in_the_exact_percolation_row(monkeypatch):
+    """Site and bond share each size's listing; the :mc row (k = 1, site)
+    lists the edges once more."""
+    listings = Counter()
+    _count_calls_per_graph(monkeypatch, cliques.cliques_of_size, listings, key=lambda G, size: (id(G), size))
+    results = run_suites(GRAPHS, suites=("percolation",), seed=3)
+    assert summarize(results)["failed"] == 0
+    expected = Counter()
+    for _, G in GRAPHS:
+        fvec = cliques.count_cliques(G)
+        for size in range(1, min(5, len(fvec) + 1)):
+            expected[id(G), size] = 1 + (size == 2)
+    assert listings == expected
