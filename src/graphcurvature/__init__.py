@@ -19,8 +19,6 @@ from .curvature import (
     curvature,
     curvature_field,
     curvature_from_degrees,
-    verify_gauss_bonnet,
-    verify_transfer_equations,
 )
 from .expectation import (
     DegreeCapError,
@@ -29,7 +27,6 @@ from .expectation import (
     exact_expectation_by_permutations,
     exact_index_expectation,
     mc_index_expectation,
-    verify_averaging_equation,
 )
 from .graphs import (
     EdgeListParseError,
@@ -57,17 +54,13 @@ from .morse import (
     IndexReport,
     VertexOrder,
     all_orders,
-    exit_set,
-    index,
     index_report,
     order_from_values,
     poincare_hopf_chi,
     random_order,
     reverse_order,
-    symmetric_index,
     transposition_swaps,
     verify_index_stability,
-    verify_intermediate_equations,
 )
 from .percolation import (
     SurvivalEstimate,
@@ -109,13 +102,11 @@ __all__ = [
     "exact_expectation_by_permutations",
     "exact_index_expectation",
     "exact_survival_polynomial",
-    "exit_set",
     "from_edge_list",
     "from_json",
     "generate",
     "graph_euler_characteristic",
     "icosahedron",
-    "index",
     "index_report",
     "induced_subgraph",
     "load",
@@ -130,15 +121,10 @@ __all__ = [
     "reverse_order",
     "star_graph",
     "survival_grid",
-    "symmetric_index",
     "to_edge_list",
     "to_json",
     "transposition_swaps",
     "unit_sphere",
-    "verify_averaging_equation",
-    "verify_gauss_bonnet",
     "verify_index_stability",
-    "verify_intermediate_equations",
-    "verify_transfer_equations",
     "vertex_clique_degrees",
 ]

@@ -29,7 +29,7 @@ from .expectation import (
     exact_index_expectation,
     mc_index_expectation,
 )
-from .graphs import GENERATOR_KINDS, Graph, generate, load, to_edge_list, to_json
+from .graphs import GENERATORS, Graph, generate, load, to_edge_list, to_json
 from .morse import index_report, order_from_values, poincare_hopf_chi, random_order
 from .percolation import MODES, clique_survival_integral, survival_grid
 from .trials import DEFAULT_SEED, TrialPlan
@@ -46,13 +46,19 @@ def parse_number(kind, text: str, what: str):
         raise ValueError(f"{what} must be {'an integer' if kind is int else 'a number'}, got {text!r}") from None
 
 
-def default_seed() -> int:
-    env = os.environ.get("DISCRETE_GB_SEED")
-    return parse_number(int, env, "DISCRETE_GB_SEED") if env else DEFAULT_SEED
-
-
 def resolve_seed(args) -> int:
-    return args.seed if args.seed is not None else default_seed()
+    """--seed, else DISCRETE_GB_SEED, else the built-in default; a command
+    reads it before any work, so a negative seed is a usage error at once."""
+    env = os.environ.get("DISCRETE_GB_SEED")
+    if args.seed is not None:
+        seed, what = args.seed, "--seed"
+    elif env:
+        seed, what = parse_number(int, env, "DISCRETE_GB_SEED"), "DISCRETE_GB_SEED"
+    else:
+        return DEFAULT_SEED
+    if seed < 0:
+        raise ValueError(f"{what} must be at least 0, got {seed}")
+    return seed
 
 
 def parse_generator_spec(spec: str) -> Graph:
@@ -65,19 +71,19 @@ def parse_generator_spec(spec: str) -> Graph:
             raise ValueError(f"bad generator parameter {item!r}, expected key=value")
         if (key := key.strip()) in params:
             raise ValueError(f"generator parameter {key} given twice in {spec!r}")
+        if key not in GENERATORS[kind][0]:
+            raise ValueError(f"generator {kind!r} does not read parameter {key}")
         params[key] = value.strip()
-    n = parse_number(int, params.pop("n"), "generator parameter n") if "n" in params else None
-    q = parse_number(float, params.pop("q"), "generator parameter q") if "q" in params else None
-    seed = parse_number(int, params.pop("seed"), "generator parameter seed") if "seed" in params else 0
-    if params:
-        raise ValueError(f"unknown generator parameters {sorted(params)} for kind {kind!r}")
+    n = parse_number(int, params["n"], "generator parameter n") if "n" in params else None
+    q = parse_number(float, params["q"], "generator parameter q") if "q" in params else None
+    seed = parse_number(int, params["seed"], "generator parameter seed") if "seed" in params else 0
     return generate(kind, n=n, q=q, seed=seed)
 
 
 def load_graph(source: str) -> Graph:
     """Path or generator spec; the kind prefix decides which."""
     kind = source.partition(":")[0]
-    if kind in GENERATOR_KINDS:
+    if kind in GENERATORS:
         return parse_generator_spec(source)
     return load(source)
 
@@ -184,8 +190,8 @@ def cmd_generate(args) -> Output:
 
 
 def cmd_chi(args) -> Output:
-    G = load_graph(args.graph)
     seed = resolve_seed(args)
+    G = load_graph(args.graph)
     start = time.perf_counter()
     chi = CHI_ROUTES[args.method](G, seed, None)
     millis = (time.perf_counter() - start) * 1000.0
@@ -209,12 +215,13 @@ def cmd_curvature(args) -> Output:
 
 
 def cmd_index(args) -> Output:
+    seed = resolve_seed(args)
     G = load_graph(args.graph)
     if args.function:
         with open(args.function) as fh:
             order = parse_function_file(fh.read(), G.n)
     else:
-        order = random_order(G.n, resolve_seed(args))
+        order = random_order(G.n, seed)
     report = index_report(G, order)
     lines = [
         f"{x:>6}  {report.order[x]:>4}  {report.indices[x]:>3}  {str(report.symmetric[x]):>6}"
@@ -234,9 +241,9 @@ def cmd_index(args) -> Output:
 
 
 def cmd_expectation(args) -> Output:
+    seed = resolve_seed(args)
     check_degree_cap(args.degree_cap)
     G = load_graph(args.graph)
-    seed = resolve_seed(args)
     plan = TrialPlan(samples=args.samples, master_seed=seed, workers=args.threads)
     payload = asdict(mc_index_expectation(G, plan))
     header = ["vertex", "samples", "estimate", "stderr", "exact", "curvature"]
@@ -260,8 +267,8 @@ def cmd_expectation(args) -> Output:
 
 
 def cmd_percolation(args) -> Output:
-    G = load_graph(args.graph)
     seed = resolve_seed(args)
+    G = load_graph(args.graph)
     if args.grid is not None:
         return percolation_grid(G, seed, args)
     report = clique_survival_integral(
@@ -304,13 +311,14 @@ def percolation_grid(G: Graph, seed: int, args) -> Output:
 
 
 def cmd_verify(args) -> Output:
+    seed = resolve_seed(args)
     check_degree_cap(args.degree_cap)
     if args.graph:
         graphs = [(args.graph, load_graph(args.graph))]
     else:
         graphs = list(base_corpus() + er_corpus(20))
     suites = SUITES if args.suite == "all" else (args.suite,)
-    results = run_suites(graphs, suites=suites, seed=resolve_seed(args), degree_cap=args.degree_cap)
+    results = run_suites(graphs, suites=suites, seed=seed, degree_cap=args.degree_cap)
     summary = summarize(results)
     lines = [f"{r.status:<4}  {r.suite:<13} {r.name}  {r.detail}" for r in results]
     lines.append(f"{summary['passed']} passed, {summary['failed']} failed, {summary['skipped']} skipped")

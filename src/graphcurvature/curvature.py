@@ -15,10 +15,13 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Sequence
 
+# count_cliques is not called here. perfbench/test_perfbench.py reads it on
+# this module to check that its tracer wraps a function under every module
+# name bound to it.
 from .cliques import (
     FVector,
     IdentityCheck,
-    count_cliques,
+    count_cliques,  # noqa: F401
     euler_characteristic,
     vertex_clique_degrees,
 )
@@ -81,11 +84,6 @@ def gauss_bonnet_check(curvatures: Sequence[Fraction], fvec: FVector) -> Identit
     return IdentityCheck(None, lhs, rhs, lhs == rhs)
 
 
-def verify_gauss_bonnet(G: Graph) -> IdentityCheck:
-    """Compare sum_x K(x) (lhs) against the clique-count Euler characteristic (rhs)."""
-    return gauss_bonnet_check(curvature_field(G).values, count_cliques(G))
-
-
 def transfer_checks(sphere_fvecs: Sequence[FVector], fvec: FVector) -> tuple[IdentityCheck, ...]:
     """Check sum_x V_{k-1}(x) = (k+1) v_k for every k with v_k > 0.
 
@@ -104,7 +102,3 @@ def transfer_checks(sphere_fvecs: Sequence[FVector], fvec: FVector) -> tuple[Ide
         checks.append(IdentityCheck(k, lhs, rhs, lhs == rhs))
     return tuple(checks)
 
-
-def verify_transfer_equations(G: Graph) -> tuple[IdentityCheck, ...]:
-    """Check sum_x V_{k-1}(x) = (k+1) v_k for every k with v_k > 0, by ``transfer_checks``."""
-    return transfer_checks([vertex_clique_degrees(G, x) for x in range(G.n)], count_cliques(G))

@@ -229,20 +229,14 @@ def clique_counts_by_subset_size(G: Graph, x: int, *, tables=None) -> tuple[tupl
     return tuple(zip(*columns))
 
 
-def verify_averaging_equation(G: Graph, x: int, degree_cap: int = 16) -> tuple[IdentityCheck, ...]:
+def averaging_checks(counts: Sequence[Sequence[int]]) -> tuple[IdentityCheck, ...]:
     """Check E[V_k^-(x)] = V_k(x)/(k+2) for all k at one vertex, exactly.
 
-    The left side is computed by enumeration: count cliques of each size
-    in every sphere subset, then average over the uniform subset-size
-    mixture that random orders induce. Only k with V_k(x) > 0 appear.
+    ``counts`` is the table ``clique_counts_by_subset_size(G, x)`` returns:
+    cliques of each size counted in every sphere subset. The left side
+    averages it over the uniform subset-size mixture that random orders
+    induce. Only k with V_k(x) > 0 appear.
     """
-    _check_degree(G, x, degree_cap, f"cap {degree_cap} for subset clique enumeration")
-    return averaging_checks(clique_counts_by_subset_size(G, x))
-
-
-def averaging_checks(counts: Sequence[Sequence[int]]) -> tuple[IdentityCheck, ...]:
-    """The checks of ``verify_averaging_equation`` on the table
-    ``clique_counts_by_subset_size(G, x)`` returns."""
     checks = []
     # The only d-subset of S(x) is S(x) itself, so a column's last entry is V_k(x).
     for k, sums in enumerate(zip(*counts)):

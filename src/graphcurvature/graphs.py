@@ -393,33 +393,35 @@ def erdos_renyi(n: int, q: float, seed: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-# kind -> builder(need, seed); ``need(name)`` returns parameter n or q, or
-# raises when the caller did not give it.
-_GENERATORS = {
-    "cycle": lambda need, seed: cycle_graph(need("n")),
-    "path": lambda need, seed: path_graph(need("n")),
-    "tree_random": lambda need, seed: random_tree(need("n"), seed),
-    "complete": lambda need, seed: complete_graph(need("n")),
-    "star": lambda need, seed: star_graph(need("n")),
-    "octahedron": lambda need, seed: octahedron(),
-    "icosahedron": lambda need, seed: icosahedron(),
-    "erdos_renyi": lambda need, seed: erdos_renyi(need("n"), need("q"), seed),
+# kind -> (the parameters it reads, in its builder's argument order, and
+# the builder). Each builder names its generator when called, so one
+# replaced on this module is the one that runs.
+GENERATORS = {
+    "cycle": (("n",), lambda n: cycle_graph(n)),
+    "path": (("n",), lambda n: path_graph(n)),
+    "tree_random": (("n", "seed"), lambda n, seed: random_tree(n, seed)),
+    "complete": (("n",), lambda n: complete_graph(n)),
+    "star": (("n",), lambda n: star_graph(n)),
+    "octahedron": ((), lambda: octahedron()),
+    "icosahedron": ((), lambda: icosahedron()),
+    "erdos_renyi": (("n", "q", "seed"), lambda n, q, seed: erdos_renyi(n, q, seed)),
 }
-GENERATOR_KINDS = tuple(_GENERATORS)
+GENERATOR_KINDS = tuple(GENERATORS)
 
 
 def generate(kind: str, n: int | None = None, q: float | None = None,
              seed: int = 0) -> Graph:
-    """Dispatch to a named generator; deterministic given (kind, params, seed)."""
-    if kind not in _GENERATORS:
-        raise ValueError(f"unknown generator kind {kind!r}; known: {', '.join(GENERATOR_KINDS)}")
-    params = {"n": n, "q": q}
+    """Dispatch to a named generator; deterministic given (kind, params, seed).
 
-    def need(name: str):
+    Parameters the kind does not read are ignored.
+    """
+    if kind not in GENERATORS:
+        raise ValueError(f"unknown generator kind {kind!r}; known: {', '.join(GENERATOR_KINDS)}")
+    reads, build = GENERATORS[kind]
+    params = {"n": n, "q": q, "seed": seed}
+    for name in reads:
         if params[name] is None:
             raise ValueError(f"generator {kind!r} needs {name}")
         if name == "n":
             _check_vertex_count(n)  # before the generator builds O(n) edges
-        return params[name]
-
-    return _GENERATORS[kind](need, seed)
+    return build(*(params[name] for name in reads))

@@ -11,17 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
-from .cliques import (
-    FVector,
-    IdentityCheck,
-    count_cliques,
-    count_cliques_in_mask,
-    euler_characteristic,
-)
-from .graphs import Graph, induced_subgraph, sphere_masks
+from .cliques import FVector, IdentityCheck, count_cliques_in_mask, euler_characteristic
+from .graphs import Graph, sphere_masks
 
 if TYPE_CHECKING:
     import numpy as np
@@ -75,23 +68,6 @@ def all_orders(n: int) -> Iterator[VertexOrder]:
     return itertools.permutations(range(n))
 
 
-def exit_set(G: Graph, order: Sequence[int], x: int) -> tuple[int, ...]:
-    """Neighbors of x with smaller function value (S_f^-(x))."""
-    rx = order[x]
-    return tuple(y for y in G.adj[x] if order[y] < rx)
-
-
-def index(G: Graph, order: Sequence[int], x: int) -> int:
-    """Poincare-Hopf index i_f(x) = 1 - chi(S_f^-(x))."""
-    sub = induced_subgraph(G, exit_set(G, order, x))
-    return 1 - euler_characteristic(count_cliques(sub))
-
-
-def symmetric_index(G: Graph, order: Sequence[int], x: int) -> Fraction:
-    """Average of the indices of f and -f at x, a half-integer in general."""
-    return Fraction(index(G, order, x) + index(G, reverse_order(order), x), 2)
-
-
 def poincare_hopf_chi(G: Graph, order: Sequence[int],
                       progress: Callable[[int], None] | None = None) -> int:
     """Euler characteristic computed as the sum of indices of one function.
@@ -143,11 +119,11 @@ class IndexCalculator:
     """Index engine that caches per-sphere structure across many orders.
 
     For each vertex the unit sphere is mapped onto bit positions once, and
-    the Euler characteristic of each exit subset is memoized by its bitmask.
-    ``index`` matches the module-level function exactly; it is just cheaper
-    when evaluating thousands of orders on the same graph. ``clique_split``
-    counts sphere cliques on the same masks with the same kernel, and counts
-    each whole sphere once per calculator (``sphere_fvec``).
+    the Euler characteristic of each exit subset is memoized by its bitmask,
+    so ``index``, i_f(x) = 1 - chi(S_f^-(x)), is cheap when evaluating
+    thousands of orders on the same graph. ``clique_split`` counts sphere
+    cliques on the same masks with the same kernel, and counts each whole
+    sphere once per calculator (``sphere_fvec``).
     """
 
     def __init__(self, G: Graph):
@@ -219,21 +195,14 @@ class IndexCalculator:
         plus = (count_cliques_in_mask(masks, full ^ below) + pad)[:len(total)]
         return minus, plus, tuple(t - m - p for t, m, p in zip(total, minus, plus))
 
-    @cached_property
-    def fvec(self) -> tuple[int, ...]:
-        """The graph's f-vector, counted once per calculator.
-
-        A caller that has counted it already may assign it here instead.
-        """
-        return count_cliques(self.G)
-
-    def intermediate_checks(self, order: Sequence[int]) -> tuple[IdentityCheck, ...]:
+    def intermediate_checks(self, order: Sequence[int], fvec: FVector) -> tuple[IdentityCheck, ...]:
         """Check sum_x W_k(x) = k * v_{k+1} for one order, all k.
 
-        W_k(x) counts (k+1)-cliques in S(x) with vertices on both sides of x.
-        W_0 is identically zero, matching the k=0 right-hand side.
+        W_k(x) counts (k+1)-cliques in S(x) with vertices on both sides of x,
+        and ``fvec`` is the graph's clique f-vector. W_0 is identically zero,
+        matching the k=0 right-hand side.
         """
-        ranks, fvec = validate_order(order, self.G.n), self.fvec
+        ranks = validate_order(order, self.G.n)
         kmax = max(len(fvec) - 1, 1)
         lhs = [0] * kmax
         for x in range(self.G.n):
@@ -241,11 +210,6 @@ class IndexCalculator:
                 lhs[k] += w
         rhs = [k * (fvec[k + 1] if k + 1 < len(fvec) else 0) for k in range(kmax)]
         return tuple(IdentityCheck(k, lhs[k], rhs[k], lhs[k] == rhs[k]) for k in range(kmax))
-
-
-def verify_intermediate_equations(G: Graph, order: Sequence[int]) -> tuple[IdentityCheck, ...]:
-    """Check sum_x W_k(x) = k * v_{k+1} for one fixed order, all k."""
-    return IndexCalculator(G).intermediate_checks(order)
 
 
 def transposition_swaps(start: Sequence[int]) -> Iterator[tuple[int, int]]:
@@ -297,9 +261,8 @@ def walk_index_sums(calc: IndexCalculator, start: Sequence[int]) -> Iterator[int
         raise ValueError("the swaps do not end at the reversal of the start order")
 
 
-def verify_index_stability(G: Graph, trials: int = 20, seed: int = 0,
-                           calc: IndexCalculator | None = None) -> bool:
-    """Index sums agree across random orders and along a transposition walk.
+def verify_index_stability(calc: IndexCalculator, trials: int = 20, seed: int = 0) -> bool:
+    """Index sums of ``calc.G`` agree across random orders and along a transposition walk.
 
     Checks that sum_x i_f(x) is the same integer, chi, for ``trials``
     random orders and after every step of the walk of
@@ -307,14 +270,10 @@ def verify_index_stability(G: Graph, trials: int = 20, seed: int = 0,
     Every index is computed from scratch in the random orders and at both
     ends of the walk; a step re-evaluates only the indices it can change
     (``walk_index_sums``), so the walk costs O(1) index work per swap.
-    ``calc``, an IndexCalculator of G, is used rather than a new one, so a
-    caller's calculator shares its chi memo with this check.
+    The check shares ``calc``'s chi memo with the caller.
     """
     import numpy as np
-    if calc is None:
-        calc = IndexCalculator(G)
-    elif calc.G is not G:
-        raise ValueError("calc must be an IndexCalculator of G")
+    G = calc.G
     rng = np.random.default_rng(seed)
     chi = calc.index_sum(tuple(range(G.n)))
     for _ in range(trials):

@@ -1,14 +1,15 @@
 """Pass/fail suites for every identity the library implements.
 
-Each suite takes (name, graph) pairs and returns CheckResult rows: one row
-per graph (percolation: an exact row, and a Monte Carlo row when the graph
-has edges), plus, in the exact expectation and averaging suites, one SKIP
-row per vertex above the degree cap. Skipped checks carry their reason and
-are not failures, so dense corpus graphs never block a verification run.
-Suite sizes are fixed module constants; a run sets only seed and degree cap.
+Each suite takes the (name, GraphFacts) pairs that ``run_suites`` builds
+and returns CheckResult rows: one row per graph (percolation: an exact
+row, and a Monte Carlo row when the graph has edges), plus, in the exact
+expectation and averaging suites, one SKIP row per vertex above the
+degree cap. Skipped checks carry their reason and are not failures, so
+dense corpus graphs never block a verification run. Suite sizes are fixed
+module constants; a run sets only seed and degree cap.
 
-``run_suites`` gives every suite the same ``GraphFacts`` per graph, so the
-facts several suites read are computed once per run.
+Every suite reads the same ``GraphFacts`` per graph, so the facts several
+suites read are computed once per run.
 """
 
 from __future__ import annotations
@@ -96,10 +97,8 @@ class GraphFacts:
     @cached_property
     def calc(self) -> IndexCalculator:
         """One IndexCalculator, so every suite shares its chi memo and its
-        sphere clique totals; its f-vector is ``fvec``."""
-        calc = IndexCalculator(self.G)
-        calc.fvec = self.fvec
-        return calc
+        sphere clique totals."""
+        return IndexCalculator(self.G)
 
     @cached_property
     def curvatures(self) -> tuple[Fraction, ...]:
@@ -135,8 +134,7 @@ class GraphFacts:
                      for m in range(d + 1))
 
 
-# (name, Graph) pairs, or the (name, GraphFacts) pairs run_suites passes.
-NamedFacts = tuple[str, Graph | GraphFacts]
+NamedFacts = tuple[str, GraphFacts]
 
 # The ok of a row whose check was skipped.
 SKIP = None
@@ -147,12 +145,12 @@ def _rows(suite: str, graphs: Sequence[NamedFacts], check) -> list[CheckResult]:
 
     ``check(F)`` yields one (suffix, ok, detail) per row of a graph's facts
     F; the row is named by the graph's name plus ``suffix``; an ok of SKIP
-    marks a skipped check. A bare Graph gets facts of its own.
+    marks a skipped check.
     """
     return [
         CheckResult(suite, name + suffix, "SKIP" if ok is SKIP else "PASS" if ok else "FAIL", detail)
-        for name, G in graphs
-        for suffix, ok, detail in check(G if isinstance(G, GraphFacts) else GraphFacts(G, (suite,)))
+        for name, F in graphs
+        for suffix, ok, detail in check(F)
     ]
 
 
@@ -209,7 +207,7 @@ def intermediate_suite(graphs: Sequence[NamedFacts], seed: int = DEFAULT_SEED) -
     def check(F):
         rng = np.random.default_rng(seed)
         orders = (random_order(F.G.n, rng) for _ in range(INTERMEDIATE_ORDERS))
-        bad = [c for order in orders for c in F.calc.intermediate_checks(order) if not c.equal]
+        bad = [c for order in orders for c in F.calc.intermediate_checks(order, F.fvec) if not c.equal]
         yield "", not bad, f"failed rows: {bad[:3]}" if bad else f"{INTERMEDIATE_ORDERS} orders"
 
     return _rows("intermediate", graphs, check)
@@ -218,7 +216,7 @@ def intermediate_suite(graphs: Sequence[NamedFacts], seed: int = DEFAULT_SEED) -
 def stability_suite(graphs: Sequence[NamedFacts], seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Index sum constant across random orders and a transposition walk."""
     def check(F):
-        ok = verify_index_stability(F.G, trials=STABILITY_ORDERS, seed=seed, calc=F.calc)
+        ok = verify_index_stability(F.calc, trials=STABILITY_ORDERS, seed=seed)
         yield "", ok, f"{STABILITY_ORDERS} orders + walk"
 
     return _rows("stability", graphs, check)

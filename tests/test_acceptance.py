@@ -16,7 +16,7 @@ import pytest
 import graphcurvature as gc
 from graphcurvature.cli import main
 from graphcurvature.corpus import er_corpus, full_corpus
-from graphcurvature.verify import STABILITY_ORDERS, averaging_suite, stability_suite, transfer_suite
+from graphcurvature.verify import STABILITY_ORDERS, run_suites
 
 
 def elapsed_since(t0: float) -> float:
@@ -98,20 +98,21 @@ def assert_one_passing_row_per_graph(rows, corpus):
 
 def test_c05_appendix_identities(corpus):
     """Transfer and intermediate equations on the corpus; index stability with a transposition walk."""
-    assert_one_passing_row_per_graph(transfer_suite(corpus), corpus)
+    assert_one_passing_row_per_graph(run_suites(corpus, suites=("transfer",)), corpus)
     for name, G in corpus:
         rng = np.random.default_rng(202)
+        calc, fvec = gc.IndexCalculator(G), gc.count_cliques(G)
         for _ in range(20):
             f = gc.random_order(G.n, rng)
-            assert all(r.equal for r in gc.verify_intermediate_equations(G, f)), name
+            assert all(r.equal for r in calc.intermediate_checks(f, fvec)), name
     # 50 random orders everywhere; the walk always runs and is required for n <= 10
     assert STABILITY_ORDERS == 50
-    assert_one_passing_row_per_graph(stability_suite(corpus, seed=303), corpus)
+    assert_one_passing_row_per_graph(run_suites(corpus, suites=("stability",), seed=303), corpus)
 
 
 def test_c06_averaging_equation(corpus):
     """E[V_k^-(x)] = V_k(x)/(k+2) exactly for every corpus vertex with deg <= 16."""
-    assert_one_passing_row_per_graph(averaging_suite(corpus, 16), corpus)
+    assert_one_passing_row_per_graph(run_suites(corpus, suites=("averaging",), degree_cap=16), corpus)
 
 
 def test_c07_percolation_statistical():

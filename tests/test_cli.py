@@ -80,6 +80,21 @@ class TestGenerate:
         assert run_cli(capsys, "generate", "cycle:m=4")[0] == 2
         assert run_cli(capsys, "generate", "no/such/file.txt")[0] == 2
 
+    @pytest.mark.parametrize("spec, kind, key", [
+        ("icosahedron:n=7", "icosahedron", "n"),
+        ("octahedron:q=0.5", "octahedron", "q"),
+        ("cycle:n=5,q=0.3", "cycle", "q"),
+        ("cycle:n=5,seed=3", "cycle", "seed"),
+        ("tree_random:n=5,q=0.3", "tree_random", "q"),
+        ("complete:n=4,m=2", "complete", "m"),
+    ])
+    def test_parameter_the_kind_does_not_read_is_usage_error(self, capsys, monkeypatch, spec, kind, key):
+        monkeypatch.setattr("graphcurvature.cli.generate", lambda *args, **kwargs: pytest.fail("a graph was built"))
+        code = main(["generate", spec])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: generator {kind!r} does not read parameter {key}\n"
+
     def test_repeated_parameter_is_usage_error(self, capsys):
         code = main(["generate", "cycle:n=3,n=4"])
         captured = capsys.readouterr()
@@ -589,12 +604,26 @@ class TestSeedEnv:
         ("percolation", "icosahedron", "--k", "1", "--trials", "10"),
         ("verify", "icosahedron"),
         ("verify", "icosahedron", "--suite", "percolation"),
-    ], ids=["expectation", "percolation", "verify", "verify_percolation"])
+        ("verify", "icosahedron", "--suite", "gauss_bonnet"),
+        ("chi", "octahedron"),
+    ], ids=["expectation", "percolation", "verify", "verify_percolation", "verify_gauss_bonnet", "chi"])
     def test_negative_seed_is_usage_error(self, capsys, argv):
         code = main([*argv, "--seed", "-1"])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert captured.err == "error: expected non-negative integer\n"
+        assert captured.err == "error: --seed must be at least 0, got -1\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("chi", "octahedron"),
+        ("index", "octahedron"),
+        ("verify", "icosahedron", "--suite", "gauss_bonnet"),
+    ], ids=["chi", "index", "verify_gauss_bonnet"])
+    def test_negative_env_seed_is_usage_error(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("DISCRETE_GB_SEED", "-1")
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: DISCRETE_GB_SEED must be at least 0, got -1\n"
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

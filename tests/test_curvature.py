@@ -18,13 +18,14 @@ from graphcurvature.cliques import (
     count_cliques_in_mask,
     euler_characteristic,
     graph_euler_characteristic,
+    vertex_clique_degrees,
 )
 from graphcurvature.curvature import (
     curvature,
     curvature_field,
     curvature_from_degrees,
-    verify_gauss_bonnet,
-    verify_transfer_equations,
+    gauss_bonnet_check,
+    transfer_checks,
 )
 from graphcurvature.graphs import (
     Graph,
@@ -38,7 +39,10 @@ from graphcurvature.graphs import (
     random_tree,
     sphere_masks,
     star_graph,
+    unit_sphere,
 )
+from graphcurvature.morse import poincare_hopf_chi, random_order
+from graphcurvature.verify import SUITES, run_suites
 
 
 def series_curvature(V):
@@ -100,7 +104,7 @@ class TestGaussBonnet:
         for q in (0.1, 0.3, 0.5, 0.7, 0.9):
             for seed in range(4):
                 G = erdos_renyi(14, q, seed=seed)
-                rep = verify_gauss_bonnet(G)
+                rep = gauss_bonnet_check(curvature_field(G).values, count_cliques(G))
                 assert rep.equal and rep.lhs == rep.rhs == graph_euler_characteristic(G)
 
     def test_field_consistent_with_pointwise(self):
@@ -161,16 +165,18 @@ class TestTransferEquations:
             path_graph(6),
             erdos_renyi(13, 0.5, seed=2),
         ):
-            checks = verify_transfer_equations(G)
+            checks = transfer_checks([vertex_clique_degrees(G, x) for x in range(G.n)], count_cliques(G))
             assert checks and all(c.equal for c in checks)
 
     def test_k0_counts_vertices(self):
-        checks = verify_transfer_equations(cycle_graph(6))
+        G = cycle_graph(6)
+        checks = transfer_checks([vertex_clique_degrees(G, x) for x in range(G.n)], count_cliques(G))
         assert checks[0].k == 0 and checks[0].lhs == 6 and checks[0].rhs == 6
 
     def test_k1_counts_edge_endpoints(self):
         # sum of degrees = 2 * v_1
-        checks = verify_transfer_equations(erdos_renyi(10, 0.5, seed=3))
+        G = erdos_renyi(10, 0.5, seed=3)
+        checks = transfer_checks([vertex_clique_degrees(G, x) for x in range(G.n)], count_cliques(G))
         assert checks[1].lhs == checks[1].rhs
 
 
@@ -246,3 +252,59 @@ class TestRelabelAndUnion:
         values = curvature_field(U).values
         assert values == sum((curvature_field(P).values for P in parts), ())
         assert values[12:12 + G.n] == field.values
+
+
+def zykov_join(A: Graph, B: Graph) -> Graph:
+    """A + B: A and B side by side, B shifted past A, and every vertex of A
+    joined to every vertex of B."""
+    across = [(a, A.n + b) for a in range(A.n) for b in range(B.n)]
+    return Graph.from_edges(A.n + B.n, list(disjoint_union(A, B).edges) + across)
+
+
+def f_polynomial(fvector) -> tuple[int, ...]:
+    """Coefficients of f_G(t) = 1 + sum_k v_k t^(k+1), from t^0 up."""
+    return (1, *fvector)
+
+
+def polynomial_product(p, q) -> tuple[int, ...]:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return tuple(out)
+
+
+class TestZykovJoin:
+    """Exact relations on the join A + B, whose clique complex is the join of
+    A's and B's: f-polynomials multiply, so chi(A + B) = chi(A) + chi(B) -
+    chi(A) chi(B), and the sphere of x in A is S_A(x) + B."""
+
+    JOINED = {"C5": cycle_graph(5), "octahedron": octahedron(), "two_points": Graph.from_edges(2, [])}
+
+    @pytest.fixture(scope="class")
+    def base(self):
+        A = loads(perfbench_inputs().geometric_torus_text(300, 8, seed=5))
+        assert len(count_cliques(A)) >= 4
+        return A
+
+    @pytest.mark.parametrize("name", sorted(JOINED))
+    def test_join(self, base, name):
+        A, B = base, self.JOINED[name]
+        J = zykov_join(A, B)
+        fA, fB = count_cliques(A), count_cliques(B)
+        assert f_polynomial(count_cliques(J)) == polynomial_product(f_polynomial(fA), f_polynomial(fB))
+        chi_A, chi_B = euler_characteristic(fA), euler_characteristic(fB)
+        chi = chi_A + chi_B - chi_A * chi_B
+        field = curvature_field(J)
+        assert graph_euler_characteristic(J) == field.total == poincare_hopf_chi(J, random_order(J.n, 3)) == chi
+        # K(x) = integral_0^1 f_{S(x)}(-t) dt, and f_{S(x)} = f_{S_A(x)} f_B.
+        for x in np.random.default_rng(7).choice(A.n, 30, replace=False).tolist():
+            f = polynomial_product(f_polynomial(count_cliques(unit_sphere(A, x)[0])), f_polynomial(fB))
+            assert field.values[x] == sum(Fraction((-1) ** j * c, j + 1) for j, c in enumerate(f)), x
+
+    @pytest.mark.parametrize("name", sorted(JOINED))
+    def test_every_suite_passes_on_a_small_join(self, name):
+        J = zykov_join(icosahedron(), self.JOINED[name])
+        rows = run_suites([(name, J)], seed=3)
+        assert len(rows) == len(SUITES) + 1  # percolation has an exact and a Monte Carlo row
+        assert [(r.suite, r.name, r.detail) for r in rows if r.status != "PASS"] == []

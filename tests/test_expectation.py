@@ -15,19 +15,19 @@ from graphcurvature.cliques import (
     euler_characteristic,
     vertex_clique_degrees,
 )
-from graphcurvature import expectation, morse, trials
+from graphcurvature import expectation, trials
 from graphcurvature.cli import main
 from graphcurvature.corpus import base_corpus
 from graphcurvature.curvature import curvature
 from graphcurvature.expectation import (
     MAX_SUBSET_DEGREE,
     DegreeCapError,
+    averaging_checks,
     chi_by_subset_size,
     clique_counts_by_subset_size,
     exact_expectation_by_permutations,
     exact_index_expectation,
     mc_index_expectation,
-    verify_averaging_equation,
 )
 from graphcurvature.graphs import (
     Graph,
@@ -41,6 +41,7 @@ from graphcurvature.graphs import (
 )
 from graphcurvature.morse import IndexCalculator, all_orders
 from graphcurvature.trials import TrialPlan, mean_and_stderr
+from test_morse import reference_index
 from test_trials import reference_trial_rng
 
 
@@ -186,7 +187,7 @@ class TestSubsetTablesBruteForce:
             if G.degree(x) >= 18:
                 assert exact_index_expectation(G, x) == curvature(G, x), x
                 assert clique_counts_by_subset_size(G, x)[-1] == vertex_clique_degrees(G, x)
-                assert all(c.equal for c in verify_averaging_equation(G, x, degree_cap=20)), x
+                assert all(c.equal for c in averaging_checks(clique_counts_by_subset_size(G, x))), x
 
     def test_degree_limit_fails_fast(self):
         G = star_graph(26)  # centre degree 25, one above the limit
@@ -265,7 +266,7 @@ class TestSymmetryInvolution:
 class TestAveragingEquation:
     def test_icosahedron_values(self):
         G = icosahedron()
-        checks = verify_averaging_equation(G, 0)
+        checks = averaging_checks(clique_counts_by_subset_size(G, 0))
         by_k = {c.k: c for c in checks}
         assert by_k[0].lhs == Fraction(5, 2)  # deg/2
         assert by_k[1].lhs == Fraction(5, 3)  # V_1/3
@@ -273,7 +274,7 @@ class TestAveragingEquation:
 
     def test_triangle_free_sphere(self):
         G = cycle_graph(7)
-        checks = verify_averaging_equation(G, 3)
+        checks = averaging_checks(clique_counts_by_subset_size(G, 3))
         assert len(checks) == 1  # only k=0: sphere has no edges
         assert checks[0].equal
 
@@ -281,11 +282,7 @@ class TestAveragingEquation:
         for seed in range(4):
             G = erdos_renyi(11, 0.6, seed=seed)
             for x in range(G.n):
-                assert all(c.equal for c in verify_averaging_equation(G, x)), (seed, x)
-
-    def test_cap(self):
-        with pytest.raises(DegreeCapError):
-            verify_averaging_equation(star_graph(20), 0, degree_cap=10)
+                assert all(c.equal for c in averaging_checks(clique_counts_by_subset_size(G, x))), (seed, x)
 
 
 class TestMonteCarlo:
@@ -337,8 +334,8 @@ def reference_expectation(G, samples, seed, vertices):
 
     An independent copy of the engine: trial t ranks the vertices by
     ``reference_trial_rng(seed, t).permutation(n)`` and each index
-    comes from the module-level ``morse.index``, which rebuilds the exit
-    subgraph and counts its cliques afresh.
+    comes from ``reference_index``, which rebuilds the exit subgraph and
+    counts its cliques afresh.
     """
     targets = range(G.n) if vertices is None else vertices
     sums = [0] * len(targets)
@@ -346,7 +343,7 @@ def reference_expectation(G, samples, seed, vertices):
     for t in range(samples):
         order = reference_trial_rng(seed, t).permutation(G.n).tolist()
         for j, x in enumerate(targets):
-            i = morse.index(G, order, x)
+            i = reference_index(G, order, x)
             sums[j] += i
             squares[j] += i * i
     return [mean_and_stderr(s, q, samples) for s, q in zip(sums, squares)]
