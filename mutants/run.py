@@ -1,7 +1,6 @@
 """Mutation run: each listed fault, applied alone, must fail the tests named for it.
 
-    python mutants/run.py              # every mutant
-    python mutants/run.py NAME ...     # the named mutants only
+    python mutants/run.py
 
 The runner copies the source tree (``src``, ``tests``, ``perfbench`` and
 ``pyproject.toml``) to a temporary directory and checks first that every
@@ -132,13 +131,8 @@ def run_tests(tree: Path, node_ids) -> dict[str, bool]:
             for m in map(_OUTCOME.match, proc.stdout.splitlines()) if m}
 
 
-def main(names) -> int:
-    unknown = set(names) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
-        return 2
-    mutants = [m for m in MUTANTS if not names or m.name in names]
-    for m in mutants:
+def main() -> int:
+    for m in MUTANTS:
         count = (ROOT / m.path).read_text().count(m.old)
         if count != 1:
             print(f"{m.name}: its old snippet occurs {count} times in {m.path}, not once", file=sys.stderr)
@@ -152,14 +146,14 @@ def main(names) -> int:
                 shutil.copytree(source, tree / name, ignore=ignore)
             else:
                 shutil.copy2(source, tree / name)
-        node_ids = sorted({node for m in mutants for node in m.killers})
+        node_ids = sorted({node for m in MUTANTS for node in m.killers})
         baseline = run_tests(tree, node_ids)
         broken = [node for node in node_ids if not baseline.get(node, False)]
         if broken:
             print(f"unmutated, these tests fail or did not run: {broken}", file=sys.stderr)
             return 2
         survivors = 0
-        for m in mutants:
+        for m in MUTANTS:
             path = tree / m.path
             original = path.read_text()
             path.write_text(original.replace(m.old, m.new))
@@ -180,4 +174,4 @@ def main(names) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -406,7 +406,6 @@ GENERATORS = {
     "icosahedron": ((), lambda: icosahedron()),
     "erdos_renyi": (("n", "q", "seed"), lambda n, q, seed: erdos_renyi(n, q, seed)),
 }
-GENERATOR_KINDS = tuple(GENERATORS)
 
 
 def generate(kind: str, n: int | None = None, q: float | None = None,
@@ -416,7 +415,7 @@ def generate(kind: str, n: int | None = None, q: float | None = None,
     Parameters the kind does not read are ignored.
     """
     if kind not in GENERATORS:
-        raise ValueError(f"unknown generator kind {kind!r}; known: {', '.join(GENERATOR_KINDS)}")
+        raise ValueError(f"unknown generator kind {kind!r}; known: {', '.join(GENERATORS)}")
     reads, build = GENERATORS[kind]
     params = {"n": n, "q": q, "seed": seed}
     for name in reads:

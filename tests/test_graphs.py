@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from graphcurvature import graphs
 from graphcurvature.graphs import (
-    GENERATOR_KINDS,
+    GENERATORS,
     MAX_PAIRS,
     MAX_VERTICES,
     EdgeListParseError,
@@ -147,7 +147,7 @@ class TestTrustedConstruction:
         assert_revalidates(G)
         assert G.edges == tuple(sorted({(min(u, v), max(u, v)) for u, v in edges}))
 
-    @pytest.mark.parametrize("kind", GENERATOR_KINDS)
+    @pytest.mark.parametrize("kind", tuple(GENERATORS))
     def test_every_generator(self, kind):
         for n, seed in ((7, 3), (16, 5)):
             G = generate(kind, n=n, q=0.4, seed=seed)
