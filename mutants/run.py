@@ -102,6 +102,23 @@ MUTANTS = (
          "tests/test_verify.py::test_one_subset_table_build_per_vertex_under_the_cap"),
     ),
     Mutant(
+        "cone_test_accepts_a_vertex_missing_one_neighbour",
+        "src/graphcurvature/cliques.py",
+        "        if candidates & ~masks[b.bit_length() - 1] == b:\n",
+        "        if (candidates & ~masks[b.bit_length() - 1]).bit_count() <= 2:\n",
+        ("tests/test_cliques.py::TestChiInMask::test_matches_clique_counts_and_brute_force_on_random_masks",
+         "tests/test_cliques.py::TestChiInMask::test_octahedron_has_no_cone_point",
+         "tests/test_cliques.py::TestChiInMask::test_every_exit_mask_of_verify_at_seed_3"),
+    ),
+    Mutant(
+        "three_vertex_leaf_adds_a_triangle_on_two_edges",
+        "src/graphcurvature/cliques.py",
+        "                            if e == 3:\n",
+        "                            if e >= 2:\n",
+        ("tests/test_cliques.py::TestMaskKernel::test_matches_brute_force_on_random_masks",
+         "tests/test_cliques.py::TestChiInMask::test_matches_clique_counts_and_brute_force_on_random_masks"),
+    ),
+    Mutant(
         "every_standard_error_doubled",
         "src/graphcurvature/trials.py",
         "    return mean, (max(var, 0.0) / samples) ** 0.5\n",

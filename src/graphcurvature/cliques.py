@@ -15,6 +15,10 @@ adjacency as bitmasks at most deg(v) bits wide, so it needs O(n + m)
 memory and never builds the graph's n-bit ``adjacency_masks``.
 ``count_cliques`` counts on it, under one work meter for all vertices;
 ``cliques_of_size`` lists one size on it as ascending vertex-id tuples.
+
+``chi_in_mask`` gives the Euler characteristic of a masked subgraph
+without listing its cliques: a set with a cone point is contractible, so
+only sets without one are split into their vertices' links.
 """
 from __future__ import annotations
 
@@ -98,16 +102,22 @@ def count_cliques_in_mask(masks: Sequence[int], candidates: int,
 
     Each ``grow`` frame counts a whole level at once: every bit of ``cand``
     extends the current clique by one vertex, so ``counts[depth]`` gains
-    ``cand.bit_count()``.  A one-bit extension set is counted in place
-    rather than by a frame of its own.  The meter is checked once per frame,
-    when the frames' candidates pass the next multiple of ``_METER_STRIDE``,
-    and once more at the end of the call.
+    ``cand.bit_count()``.  An extension set of one, two or three bits is
+    counted in place, from its members' masks, rather than by a frame of
+    its own: its vertices, the edges among them and, when all three edges
+    are there, its triangle.  The meter is checked once per frame, when the
+    candidates of the frames and of the two- and three-bit sets pass the
+    next multiple of ``_METER_STRIDE``, and once more at the end of the call.
     """
     if not candidates:
         return ()
     counts = [0] * candidates.bit_count()
     done = meter.visits if meter is not None else 0
-    framed = 0  # visits counted by frames: all but the one-bit extensions, so at least half
+    # Visits at the level of a frame or of a two- or three-bit extension set:
+    # all but the one-bit extensions (at most one per frame bit) and the edges
+    # and triangles inside a set (at most 4 per 3 of its bits), so at least
+    # 3/7 of all visits.
+    framed = 0
     check = _METER_STRIDE if meter is not None else inf
 
     def grow(cand: int, depth: int):
@@ -124,10 +134,24 @@ def count_cliques_in_mask(masks: Sequence[int], candidates: int,
             m ^= b
             sub = m & masks[b.bit_length() - 1]
             if sub:
-                if sub & (sub - 1):
+                k = sub.bit_count()
+                if k == 1:
+                    counts[depth + 1] += 1
+                elif k > 3:
                     grow(sub, depth + 1)
                 else:
-                    counts[depth + 1] += 1
+                    counts[depth + 1] += k
+                    framed += k
+                    lo = sub & -sub
+                    hi = sub ^ lo
+                    e = (masks[lo.bit_length() - 1] & hi).bit_count()  # edges at lo
+                    if k == 3:
+                        mid = hi & -hi
+                        if masks[mid.bit_length() - 1] & (hi ^ mid):
+                            e += 1
+                            if e == 3:
+                                counts[depth + 3] += 1
+                    counts[depth + 2] += e
 
     grow(candidates, 0)
     while not counts[-1]:
@@ -136,6 +160,37 @@ def count_cliques_in_mask(masks: Sequence[int], candidates: int,
         meter.visits = done + sum(counts)
         meter.event(meter.visits, 0)  # final check so short runs still hit the budget
     return tuple(counts)
+
+
+def chi_in_mask(masks: Sequence[int], candidates: int) -> int:
+    """Euler characteristic of the subgraph induced on the ``candidates`` bitmask.
+
+    ``masks`` must be symmetric: bit j of ``masks[i]`` is set exactly when
+    bit i of ``masks[j]`` is.  The cliques whose lowest vertex is v are v
+    alone and v plus a clique of B_v, v's neighbours above v in A, so
+    chi(A) = sum over v in A of (1 - chi(B_v)).  A set with a cone point, a
+    vertex adjacent to every other vertex of the set, is contractible, so
+    its chi is 1 and nothing under it is enumerated.  A itself is walked
+    lowest first, so the work on it stays linear in |A|; only the B_v
+    recurse, so the depth is at most the clique number.  A one-bit B_v
+    adds 0 and is not descended into.
+    """
+    m = candidates
+    while m:
+        b = m & -m
+        m ^= b
+        if candidates & ~masks[b.bit_length() - 1] == b:
+            return 1
+    chi = 0
+    while candidates:
+        b = candidates & -candidates
+        candidates ^= b
+        link = candidates & masks[b.bit_length() - 1]
+        if not link:
+            chi += 1
+        elif link & (link - 1):
+            chi += 1 - chi_in_mask(masks, link)
+    return chi
 
 
 def _forward_walk(G: Graph, least: int):

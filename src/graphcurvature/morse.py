@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
-from .cliques import FVector, IdentityCheck, count_cliques_in_mask, euler_characteristic
+from .cliques import FVector, IdentityCheck, chi_in_mask, count_cliques_in_mask
 from .graphs import Graph, sphere_masks
 
 if TYPE_CHECKING:
@@ -121,9 +121,12 @@ class IndexCalculator:
     For each vertex the unit sphere is mapped onto bit positions once, and
     the Euler characteristic of each exit subset is memoized by its bitmask,
     so ``index``, i_f(x) = 1 - chi(S_f^-(x)), is cheap when evaluating
-    thousands of orders on the same graph. ``clique_split`` counts sphere
-    cliques on the same masks with the same kernel, and counts each whole
-    sphere once per calculator (``sphere_fvec``).
+    thousands of orders on the same graph. A memo miss takes chi from
+    ``chi_in_mask``, which lists no cliques: an exit set with a cone point
+    has chi 1, and any other is summed over its vertices' links. The
+    f-vectors come from ``count_cliques_in_mask`` on the same masks:
+    ``clique_split`` counts the cliques on each side of x, and each whole
+    sphere is counted once per calculator (``sphere_fvec``).
     """
 
     def __init__(self, G: Graph):
@@ -147,7 +150,7 @@ class IndexCalculator:
         cache = self._chi_cache[x]
         chi = cache.get(mask)
         if chi is None:
-            chi = euler_characteristic(count_cliques_in_mask(self._local_masks[x], mask))
+            chi = chi_in_mask(self._local_masks[x], mask)
             cache[mask] = chi
         return chi
 
@@ -261,25 +264,25 @@ def walk_index_sums(calc: IndexCalculator, start: Sequence[int]) -> Iterator[int
         raise ValueError("the swaps do not end at the reversal of the start order")
 
 
-def verify_index_stability(calc: IndexCalculator, trials: int = 20, seed: int = 0) -> bool:
-    """Index sums of ``calc.G`` agree across random orders and along a transposition walk.
+def verify_index_stability(calc: IndexCalculator, orders: Sequence[Sequence[int]],
+                           start: Sequence[int]) -> bool:
+    """Index sums of ``calc.G`` agree across ``orders`` and along a transposition walk.
 
-    Checks that sum_x i_f(x) is the same integer, chi, for ``trials``
-    random orders and after every step of the walk of
-    ``transposition_swaps`` from one more random order to its reversal.
-    Every index is computed from scratch in the random orders and at both
-    ends of the walk; a step re-evaluates only the indices it can change
-    (``walk_index_sums``), so the walk costs O(1) index work per swap.
-    The check shares ``calc``'s chi memo with the caller.
+    Checks that sum_x i_f(x) is the same integer, chi, at the identity
+    order, at every order of ``orders``, and after every step of the walk
+    of ``transposition_swaps`` from ``start`` to its reversal. Every index
+    is computed from scratch in ``orders`` and at both ends of the walk; a
+    step re-evaluates only the indices it can change (``walk_index_sums``),
+    so the walk costs O(1) index work per swap. The check shares ``calc``'s
+    chi memo with the caller. Raises ValueError if an order is not a
+    permutation of the vertices.
     """
-    import numpy as np
-    G = calc.G
-    rng = np.random.default_rng(seed)
-    chi = calc.index_sum(tuple(range(G.n)))
-    for _ in range(trials):
-        if calc.index_sum(random_order(G.n, rng)) != chi:
-            return False
-    start = random_order(G.n, rng)
+    n = calc.G.n
+    orders = [validate_order(order, n) for order in orders]
+    start = validate_order(start, n)
+    chi = calc.index_sum(tuple(range(n)))
+    if any(calc.index_sum(order) != chi for order in orders):
+        return False
     try:
         if any(total != chi for total in walk_index_sums(calc, start)):
             return False

@@ -9,7 +9,8 @@ dense corpus graphs never block a verification run. Suite sizes are fixed
 module constants; a run sets only seed and degree cap.
 
 Every suite reads the same ``GraphFacts`` per graph, so the facts several
-suites read are computed once per run.
+suites read are computed once per run; the three suites that draw random
+orders read disjoint slices of its one order stream.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .expectation import (
 from .graphs import Graph
 from .morse import (
     IndexCalculator,
+    VertexOrder,
     random_order,
     verify_index_stability,
 )
@@ -54,10 +56,10 @@ PERCOLATION_TRIALS = 2000
 # suite -> the run_suites options its ``<suite>_suite`` function takes.
 _SUITE_OPTIONS = {
     "gauss_bonnet": (),
-    "poincare_hopf": ("seed",),
+    "poincare_hopf": (),
     "transfer": (),
-    "intermediate": ("seed",),
-    "stability": ("seed",),
+    "intermediate": (),
+    "stability": (),
     "expectation": ("degree_cap",),
     "averaging": ("degree_cap",),
     "percolation": ("seed",),
@@ -81,13 +83,27 @@ class GraphFacts:
     chi, sphere sums meet the clique f-vector, and the subset dynamic
     program meets the sphere curvature and the calculator's sphere counts.
     ``suites`` names the suites that will read the facts, so that only
-    the subset tables they check are summed.
+    the subset tables they check are summed; ``seed`` seeds the graph's
+    random orders.
     """
 
-    def __init__(self, G: Graph, suites: Sequence[str]):
+    def __init__(self, G: Graph, suites: Sequence[str], seed: int):
         self.G = G
         self.suites = suites
+        self.seed = seed
         self._subset_sums: dict[int, tuple] = {}
+
+    @cached_property
+    def orders(self) -> tuple[VertexOrder, ...]:
+        """The graph's one stream of random orders, drawn from one
+        ``default_rng(seed)``: ``poincare_hopf`` reads the first
+        POINCARE_HOPF_ORDERS, ``intermediate`` the next INTERMEDIATE_ORDERS
+        and ``stability`` the rest, its walk's start last, so no suite
+        re-checks another's orders."""
+        import numpy as np
+        rng = np.random.default_rng(self.seed)
+        count = POINCARE_HOPF_ORDERS + INTERMEDIATE_ORDERS + STABILITY_ORDERS + 1
+        return tuple(random_order(self.G.n, rng) for _ in range(count))
 
     @cached_property
     def fvec(self) -> FVector:
@@ -179,13 +195,11 @@ def gauss_bonnet_suite(graphs: Sequence[NamedFacts]) -> list[CheckResult]:
     return _rows("gauss_bonnet", graphs, check)
 
 
-def poincare_hopf_suite(graphs: Sequence[NamedFacts], seed: int = DEFAULT_SEED) -> list[CheckResult]:
+def poincare_hopf_suite(graphs: Sequence[NamedFacts]) -> list[CheckResult]:
     """Index sums of random orders all equal the clique-route chi."""
-    import numpy as np
     def check(F):
         chi = euler_characteristic(F.fvec)
-        rng = np.random.default_rng(seed)
-        sums = {F.calc.index_sum(random_order(F.G.n, rng)) for _ in range(POINCARE_HOPF_ORDERS)}
+        sums = {F.calc.index_sum(order) for order in F.orders[:POINCARE_HOPF_ORDERS]}
         yield "", sums == {chi}, f"chi = {chi}, index sums over {POINCARE_HOPF_ORDERS} orders = {sorted(sums)}"
 
     return _rows("poincare_hopf", graphs, check)
@@ -201,22 +215,21 @@ def transfer_suite(graphs: Sequence[NamedFacts]) -> list[CheckResult]:
     return _rows("transfer", graphs, check)
 
 
-def intermediate_suite(graphs: Sequence[NamedFacts], seed: int = DEFAULT_SEED) -> list[CheckResult]:
+def intermediate_suite(graphs: Sequence[NamedFacts]) -> list[CheckResult]:
     """sum_x W_k(x) = k v_{k+1} for random orders."""
-    import numpy as np
     def check(F):
-        rng = np.random.default_rng(seed)
-        orders = (random_order(F.G.n, rng) for _ in range(INTERMEDIATE_ORDERS))
+        orders = F.orders[POINCARE_HOPF_ORDERS:POINCARE_HOPF_ORDERS + INTERMEDIATE_ORDERS]
         bad = [c for order in orders for c in F.calc.intermediate_checks(order, F.fvec) if not c.equal]
         yield "", not bad, f"failed rows: {bad[:3]}" if bad else f"{INTERMEDIATE_ORDERS} orders"
 
     return _rows("intermediate", graphs, check)
 
 
-def stability_suite(graphs: Sequence[NamedFacts], seed: int = DEFAULT_SEED) -> list[CheckResult]:
+def stability_suite(graphs: Sequence[NamedFacts]) -> list[CheckResult]:
     """Index sum constant across random orders and a transposition walk."""
     def check(F):
-        ok = verify_index_stability(F.calc, trials=STABILITY_ORDERS, seed=seed)
+        *orders, start = F.orders[POINCARE_HOPF_ORDERS + INTERMEDIATE_ORDERS:]
+        ok = verify_index_stability(F.calc, orders, start)
         yield "", ok, f"{STABILITY_ORDERS} orders + walk"
 
     return _rows("stability", graphs, check)
@@ -289,7 +302,7 @@ def run_suites(
     The suites share one ``GraphFacts`` per graph, dropped on return.
     """
     options = {"seed": seed, "degree_cap": degree_cap}
-    facts = [(name, GraphFacts(G, suites)) for name, G in graphs]
+    facts = [(name, GraphFacts(G, suites, seed)) for name, G in graphs]
     results: list[CheckResult] = []
     for suite in suites:
         if suite not in _SUITE_OPTIONS:

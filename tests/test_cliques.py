@@ -14,6 +14,7 @@ from graphcurvature.cliques import (
     PROGRESS_INTERVAL,
     cliques_of_size,
     count_cliques,
+    chi_in_mask,
     count_cliques_in_mask,
     euler_characteristic,
     graph_euler_characteristic,
@@ -249,6 +250,93 @@ class TestMaskKernel:
             fvec = count_cliques_in_mask(masks, (1 << width) - 1, meter)
             total += sum(fvec)
             assert meter.visits == total and fvec == brute_force_mask_fvector(masks, (1 << width) - 1)
+
+
+def brute_force_mask_chi(masks, candidates):
+    """chi of the candidate bits from every subset: a subset is a clique when
+    its lowest member is adjacent to all its others and those form a clique."""
+    bits = [v for v in range(candidates.bit_length()) if candidates >> v & 1]
+    local = [sum(1 << j for j, w in enumerate(bits) if masks[u] >> w & 1) for u in bits]
+    clique = [True] * (1 << len(bits))
+    chi = 0
+    for s in range(1, 1 << len(bits)):
+        rest = s & (s - 1)
+        clique[s] = clique[rest] and not rest & ~local[(s & -s).bit_length() - 1]
+        if clique[s]:
+            chi += 1 if s.bit_count() % 2 else -1
+    return chi
+
+
+def cone_over(masks):
+    """Masks of ``masks`` plus one top vertex adjacent to all of them."""
+    apex = 1 << len(masks)
+    return [m | apex for m in masks] + [apex - 1]
+
+
+class TestChiInMask:
+    """``chi_in_mask`` against the clique counts and a subset-by-subset oracle."""
+
+    def test_matches_clique_counts_and_brute_force_on_random_masks(self):
+        rng = random.Random(27)
+        for _ in range(80):
+            width = rng.randint(0, 14)
+            masks = random_masks(rng, width, rng.random())
+            full = (1 << width) - 1
+            subsets = [0, full, rng.getrandbits(width) if width else 0, rng.getrandbits(width) & full]
+            subsets += [1 << v for v in range(width)]
+            for cand in subsets:
+                chi = chi_in_mask(masks, cand)
+                assert chi == euler_characteristic(count_cliques_in_mask(masks, cand)), (masks, cand)
+                assert chi == brute_force_mask_chi(masks, cand), (masks, cand)
+
+    def test_cones_and_edgeless_sets(self):
+        rng = random.Random(4)
+        for width in range(15):
+            edgeless = [0] * width
+            assert chi_in_mask(edgeless, (1 << width) - 1) == width
+            for q in (0.0, 0.3, 0.8):
+                masks = cone_over(random_masks(rng, width, q))
+                assert chi_in_mask(masks, (1 << (width + 1)) - 1) == 1
+                # the same cone with its apex lowest
+                flipped = [int(f"{m:0{width + 1}b}"[::-1], 2) for m in reversed(masks)]
+                assert chi_in_mask(flipped, (1 << (width + 1)) - 1) == 1
+
+    def test_octahedron_has_no_cone_point(self):
+        masks = octahedron().adjacency_masks
+        full = (1 << 6) - 1
+        assert all(full & ~m != 1 << v for v, m in enumerate(masks))
+        assert chi_in_mask(masks, full) == 2 == brute_force_mask_chi(masks, full)
+        # its cone and its suspension
+        assert chi_in_mask(cone_over(masks), (1 << 7) - 1) == 1
+        suspension = [m | 0b11 << 6 for m in masks] + [full, full]
+        assert chi_in_mask(suspension, (1 << 8) - 1) == 0 == brute_force_mask_chi(suspension, (1 << 8) - 1)
+
+    def test_every_exit_mask_of_verify_at_seed_3(self, monkeypatch):
+        from graphcurvature import morse
+        from graphcurvature.corpus import base_corpus, er_corpus
+        from graphcurvature.verify import run_suites, summarize
+
+        seen = []
+        monkeypatch.setattr(morse, "chi_in_mask", lambda masks, mask: seen.append((masks, mask)) or chi_in_mask(masks, mask))
+        results = run_suites(list(base_corpus() + er_corpus(20)), suites=("poincare_hopf", "stability"), seed=3)
+        assert summarize(results)["failed"] == 0 and len(seen) > 10_000
+        for masks, mask in seen:
+            assert chi_in_mask(masks, mask) == euler_characteristic(count_cliques_in_mask(masks, mask)), (masks, mask)
+
+    def test_wheel_hub_exit_set_is_walked_not_recursed(self):
+        from graphcurvature.graphs import sphere_masks
+        from graphcurvature.morse import IndexCalculator
+
+        rim = 3000
+        G = Graph.from_edges(rim + 1, [(0, v) for v in range(1, rim + 1)]
+                             + [(v, v % rim + 1) for v in range(1, rim + 1)])
+        masks = sphere_masks(G, 0)
+        full = (1 << rim) - 1
+        assert chi_in_mask(masks, full) == 0  # a cycle
+        assert chi_in_mask(masks, full ^ 1 << 1500) == 1  # a path
+        assert chi_in_mask(masks, full & 0x5555 << 8) == 8  # isolated rim vertices
+        hub_last = (rim,) + tuple(range(rim))
+        assert IndexCalculator(G).index(hub_last, 0) == 1
 
 
 class TestMaskEnumeration:

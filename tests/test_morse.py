@@ -7,7 +7,7 @@ from math import factorial
 import numpy as np
 import pytest
 
-from graphcurvature import morse
+from graphcurvature import TrialPlan, mc_index_expectation, morse
 from graphcurvature.cliques import count_cliques, euler_characteristic
 from graphcurvature.corpus import base_corpus
 from graphcurvature.graphs import (
@@ -17,6 +17,7 @@ from graphcurvature.graphs import (
     erdos_renyi,
     icosahedron,
     induced_subgraph,
+    loads,
     octahedron,
     path_graph,
     random_tree,
@@ -41,6 +42,14 @@ def exit_set(G, order, x):
     """Neighbors of x with smaller function value (S_f^-(x))."""
     rx = order[x]
     return tuple(y for y in G.adj[x] if order[y] < rx)
+
+
+def stability(calc, trials, seed):
+    """``verify_index_stability`` on ``trials`` random orders and then a walk
+    start, all drawn from one ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    orders = [random_order(calc.G.n, rng) for _ in range(trials)]
+    return verify_index_stability(calc, orders, random_order(calc.G.n, rng))
 
 
 def reference_index(G, order, x):
@@ -165,6 +174,36 @@ class TestIndex:
                 f = random_order(11, seed)
                 for x in range(11):
                     assert calc.index(f, x) == reference_index(G, f, x)
+
+
+class TestChiMemo:
+    """Memo misses on fixed inputs: one ``chi_in_mask`` call per new exit set.
+
+    The counts are those of the exit-set clique counts the memo filled
+    before ``chi_in_mask``, so the memo keys are unchanged.
+    """
+
+    @pytest.fixture
+    def misses(self, monkeypatch):
+        calls = []
+        real = morse.chi_in_mask
+        monkeypatch.setattr(morse, "chi_in_mask", lambda masks, mask: calls.append(mask) or real(masks, mask))
+        return calls
+
+    def test_dense_benchmark_graph(self, misses):
+        from test_curvature import perfbench_inputs
+
+        G = loads(perfbench_inputs().dense_text(3))
+        calc = IndexCalculator(G)
+        rng = np.random.default_rng(3)
+        sums = {calc.index_sum(random_order(G.n, rng)) for _ in range(50)}
+        assert sums == {euler_characteristic(count_cliques(G))}
+        assert len(misses) == 1639 == sum(map(len, calc._chi_cache))
+
+    def test_icosahedron_at_2000_samples(self, misses):
+        report = mc_index_expectation(icosahedron(), TrialPlan(samples=2000, master_seed=3))
+        assert len(report.rows) == 12
+        assert len(misses) == 384  # every exit set of all 12 vertices, 2^5 each, once
 
 
 class TestPoincareHopf:
@@ -386,7 +425,7 @@ class TestTranspositionPath:
 
     def test_stability(self):
         for G in (cycle_graph(7), complete_graph(5), erdos_renyi(10, 0.5, seed=6)):
-            assert verify_index_stability(IndexCalculator(G), trials=25, seed=3)
+            assert stability(IndexCalculator(G), trials=25, seed=3)
 
 
 def _bubble_reversal_orders(start):
@@ -453,7 +492,7 @@ class TestStabilityWalk:
 
         monkeypatch.setattr(IndexCalculator, "index", counted)
         trials = 5
-        assert verify_index_stability(IndexCalculator(G), trials=trials, seed=3)
+        assert stability(IndexCalculator(G), trials=trials, seed=3)
         assert 0 < calls[0] <= (trials + 3) * G.n + 2 * G.edge_count
 
     @pytest.mark.parametrize("fault", [
@@ -466,7 +505,7 @@ class TestStabilityWalk:
         monkeypatch.setattr(morse, "transposition_swaps", lambda s: fault(real(s)))
         with pytest.raises(ValueError, match="do not end at the reversal"):
             list(walk_index_sums(IndexCalculator(octahedron()), start))
-        assert not verify_index_stability(IndexCalculator(octahedron()), trials=0, seed=1)
+        assert not stability(IndexCalculator(octahedron()), trials=0, seed=1)
 
     def test_swap_of_non_consecutive_ranks_fails(self, monkeypatch):
         # reverse by swapping ranks j and n-1-j: it ends at the reversal, but
@@ -478,7 +517,14 @@ class TestStabilityWalk:
         monkeypatch.setattr(morse, "transposition_swaps", mirror)
         with pytest.raises(ValueError, match="skips a rank"):
             list(walk_index_sums(IndexCalculator(octahedron()), random_order(6, 4)))
-        assert not verify_index_stability(IndexCalculator(octahedron()), trials=0, seed=1)
+        assert not stability(IndexCalculator(octahedron()), trials=0, seed=1)
+
+    def test_orders_must_be_permutations(self):
+        calc = IndexCalculator(octahedron())
+        with pytest.raises(ValueError, match="permutation"):
+            verify_index_stability(calc, [(0, 0, 1, 2, 3, 4)], tuple(range(6)))
+        with pytest.raises(ValueError, match="permutation"):
+            verify_index_stability(calc, [], (0, 1, 2))
 
     def test_index_reading_a_non_neighbour_fails_without_random_orders(self, monkeypatch):
         """Vertex 0's index also reads its antipode 1: only a from-scratch end sum sees it."""
@@ -488,4 +534,4 @@ class TestStabilityWalk:
         G = octahedron()
         assert not G.has_edge(0, 1)
         for seed in range(6):
-            assert not verify_index_stability(IndexCalculator(G), trials=0, seed=seed)
+            assert not stability(IndexCalculator(G), trials=0, seed=seed)

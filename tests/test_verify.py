@@ -3,7 +3,7 @@
 import sys
 from collections import Counter
 
-from graphcurvature import cliques, expectation, morse
+from graphcurvature import cliques, expectation, morse, verify
 from graphcurvature.graphs import complete_graph, cycle_graph, erdos_renyi, octahedron, path_graph
 from graphcurvature.verify import run_suites, summarize
 
@@ -89,3 +89,27 @@ def test_one_host_listing_per_clique_size_in_the_exact_percolation_row(monkeypat
         for size in range(1, min(5, len(fvec) + 1)):
             expected[id(G), size] = 1 + (size == 2)
     assert listings == expected
+
+
+def test_index_suites_check_pairwise_distinct_orders(monkeypatch):
+    """``poincare_hopf``, ``intermediate`` and ``stability`` read disjoint
+    slices of one order stream per graph, so on a 12-vertex graph no order
+    is checked by two of them (``stability`` adds the identity and the
+    reversal of its walk's start)."""
+    drawn = {"poincare_hopf": [], "intermediate": [], "stability": []}
+    running = []
+    for name in drawn:
+        run = getattr(verify, f"{name}_suite")
+        monkeypatch.setattr(verify, f"{name}_suite", lambda graphs, run=run, name=name, **options:
+                            running.append(name) or run(graphs, **options))
+    calc = morse.IndexCalculator
+    index_sum, checks = calc.index_sum, calc.intermediate_checks
+    monkeypatch.setattr(calc, "index_sum", lambda self, order:
+                        drawn[running[-1]].append(tuple(order)) or index_sum(self, order))
+    monkeypatch.setattr(calc, "intermediate_checks", lambda self, order, fvec:
+                        drawn[running[-1]].append(tuple(order)) or checks(self, order, fvec))
+    results = run_suites([("er12", erdos_renyi(12, 0.4, seed=1))], suites=tuple(drawn), seed=3)
+    assert summarize(results)["failed"] == 0
+    assert [len(orders) for orders in drawn.values()] == [20, 5, 52]
+    every = [order for orders in drawn.values() for order in orders]
+    assert len(set(every)) == len(every)
