@@ -43,10 +43,11 @@ def main():
     assert sums == {chi}
 
     # walking between an order and its reversal one transposition at a time
-    # keeps the sum pinned the whole way
+    # keeps the sum pinned the whole way; the walk visits every order at
+    # which an index can change, the one after each swap of two neighbours
     G = gc.random_tree(9, seed=3)
     path_sums = set(walk_index_sums(gc.IndexCalculator(G), gc.random_order(9, rng)))
-    print(f"tree_9: index sums along a full transposition walk = {path_sums}")
+    print(f"tree_9: index sums along a transposition walk = {path_sums}")
     assert path_sums == {1}
 
 

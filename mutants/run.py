@@ -82,8 +82,33 @@ MUTANTS = (
         "chi = self._chi_cache[x].get(mask)\n",
         "chi = self._chi_cache[x].get(mask & (mask - 1))\n",
         ("tests/test_morse.py::TestIndex::test_calculator_matches_plain_index",
-         "tests/test_morse.py::TestWalkSumsAgainstReference::test_every_step[er12_0]",
+         "tests/test_morse.py::TestStabilityWalk::test_stability",
          "tests/test_expectation.py::TestEngineAgainstReference::test_estimate_and_stderr[icosahedron-all-150]"),
+    ),
+    Mutant(
+        "walk_takes_upper_neighbours_in_id_order",
+        "src/graphcurvature/morse.py",
+        "        for b in sorted([b for b in adj[a] if start[b] > start[a]], key=rank):\n",
+        "        for b in [b for b in adj[a] if start[b] > start[a]]:\n",
+        ("tests/test_morse.py::TestWalkSumsAgainstReference::test_every_step[er12_0]",
+         "tests/test_morse.py::TestStabilityWalk::test_running_sum_follows_a_local_fault[icosahedron]"),
+    ),
+    Mutant(
+        "walk_adds_b_to_a_but_leaves_a_in_b",
+        "src/graphcurvature/morse.py",
+        "        masks[b] &= ~(1 << bisect_left(adj[b], a))\n",
+        "",
+        ("tests/test_morse.py::TestWalkSumsAgainstReference::test_every_step[er12_0]",
+         "tests/test_morse.py::TestStabilityWalk::test_stability",
+         "tests/test_cli.py::TestVerify::test_octahedron_all_pass"),
+    ),
+    Mutant(
+        "walk_end_check_compares_the_start_masks",
+        "src/graphcurvature/morse.py",
+        "if any(masks[x] != calc.exit_mask(end, x) for x in range(n)):",
+        "if any(masks[x] != masks[x] for x in range(n)):",
+        ("tests/test_morse.py::TestStabilityWalk::test_walk_not_ending_at_the_reversal_fails[last_swap_skipped]",
+         "tests/test_morse.py::TestStabilityWalk::test_walk_not_ending_at_the_reversal_fails[no_swaps]"),
     ),
     Mutant(
         "chi_sums_in_reverse_size_order",

@@ -59,7 +59,6 @@ from .morse import (
     poincare_hopf_chi,
     random_order,
     reverse_order,
-    transposition_swaps,
     verify_index_stability,
 )
 from .percolation import (
@@ -123,7 +122,6 @@ __all__ = [
     "survival_grid",
     "to_edge_list",
     "to_json",
-    "transposition_swaps",
     "unit_sphere",
     "verify_index_stability",
     "vertex_clique_degrees",

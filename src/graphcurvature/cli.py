@@ -36,6 +36,8 @@ from .trials import DEFAULT_SEED, TrialPlan
 from .verify import SUITES, run_suites, summarize
 
 FORMATS = ("json", "csv", "human")
+# Python's digit limit for int(str); Fraction("1eK") builds a K-digit number.
+_MAX_EXPONENT = sys.int_info.default_max_str_digits
 
 
 def parse_number(kind, text: str, what: str):
@@ -102,6 +104,9 @@ def parse_function_file(text: str, n: int) -> tuple[int, ...]:
             v = int(parts[0])
         except ValueError:
             raise ValueError(f"line {line_no}: non-integer vertex {parts[0]!r}") from None
+        exponent = parts[1].lower().partition("e")[2].lstrip("+-").replace("_", "").lstrip("0")
+        if exponent.isdecimal() and (len(exponent) > len(str(_MAX_EXPONENT)) or int(exponent) > _MAX_EXPONENT):
+            raise ValueError(f"line {line_no}: value {parts[1]!r} has a decimal exponent over {_MAX_EXPONENT} in magnitude")
         try:
             value = Fraction(parts[1])
         except ValueError:

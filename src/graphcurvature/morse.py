@@ -9,6 +9,7 @@ the indices always sum to the Euler characteristic of the graph.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
@@ -215,52 +216,46 @@ class IndexCalculator:
         return tuple(IdentityCheck(k, lhs[k], rhs[k], lhs[k] == rhs[k]) for k in range(kmax))
 
 
-def transposition_swaps(start: Sequence[int]) -> Iterator[tuple[int, int]]:
-    """Vertex pairs swapped along an adjacent-rank transposition walk from f to -f.
+def _edge_swaps(adj: Sequence[Sequence[int]], start: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """Swaps of two neighbours on the bubble walk from ``start`` to its reversal, in walk order.
 
-    Bubble pass i carries the vertex at rank 0 up to rank n - 1 - i, so the
-    walk reaches the reversal in n(n-1)/2 swaps and swaps every pair of
-    vertices exactly once. Each pair ``(a, b)`` holds consecutive ranks
-    ``r`` and ``r + 1`` just before its swap, a below b. No order is built.
+    Pass i carries the vertex of start rank i past every vertex above it in
+    start-rank order, so the pairs ``(a, b)``, a below b at the start, come
+    in the order of ``(start[a], start[b])``.
     """
-    n = len(start)
-    by_rank = [0] * n
-    for v, r in enumerate(start):
-        by_rank[r] = v
-    for i in range(n):
-        for j in range(n - 1 - i):
-            a, b = by_rank[j], by_rank[j + 1]
-            by_rank[j], by_rank[j + 1] = b, a
+    rank = start.__getitem__
+    for a in sorted(range(len(adj)), key=rank):
+        for b in sorted([b for b in adj[a] if start[b] > start[a]], key=rank):
             yield a, b
 
 
 def walk_index_sums(calc: IndexCalculator, start: Sequence[int]) -> Iterator[int]:
-    """Index sums along the walk of ``transposition_swaps`` from ``start`` to its reversal.
+    """Index sums along the bubble walk from ``start`` to its reversal.
 
-    Yields the sum at ``start``, computed from scratch, then the running sum
-    after each swap. i(x) reads ranks only on the closed neighbourhood of x,
-    and a swap of consecutive ranks leaves every other vertex on the same
-    side of a and of b. So only i(a) and i(b) can change, and only if a ~ b:
-    those two are re-evaluated, n + 2m indices over the whole walk. Raises
-    ValueError if a swap is not of consecutive ranks or the swaps do not end
-    at the reversal of ``start``.
+    Yields the sum at ``start``, computed from scratch, then the sum after
+    each swap of two neighbours (``_edge_swaps``): 1 + m sums. i(x) reads
+    ranks only on the closed neighbourhood of x, so no other swap changes
+    an index; at the swap of a below b, b joins a's exit set and a leaves
+    b's. The replay flips those two mask bits and takes both indices from
+    ``calc.chi_of_exit_mask``. Raises ValueError if the masks do not end at
+    those of the reversal of ``start``.
     """
-    index, adjacent = calc.index, calc.G.neighbor_sets
-    ranks = list(start)
-    indices = [index(ranks, x) for x in range(len(ranks))]
+    adj = calc.G.adj
+    n = len(adj)
+    chi = calc.chi_of_exit_mask
+    masks = [calc.exit_mask(start, x) for x in range(n)]
+    indices = [calc.index(start, x) for x in range(n)]
     total = sum(indices)
     yield total
-    for a, b in transposition_swaps(start):
-        ra, rb = ranks[a], ranks[b]
-        if abs(ra - rb) != 1:
-            raise ValueError(f"swap of vertices {a} and {b} at ranks {ra} and {rb} skips a rank")
-        ranks[a], ranks[b] = rb, ra
-        if b in adjacent[a]:
-            ia, ib = index(ranks, a), index(ranks, b)
-            total += ia - indices[a] + ib - indices[b]
-            indices[a], indices[b] = ia, ib
+    for a, b in _edge_swaps(adj, start):
+        masks[a] |= 1 << bisect_left(adj[a], b)
+        masks[b] &= ~(1 << bisect_left(adj[b], a))
+        ia, ib = 1 - chi(a, masks[a]), 1 - chi(b, masks[b])
+        total += ia - indices[a] + ib - indices[b]
+        indices[a], indices[b] = ia, ib
         yield total
-    if tuple(ranks) != reverse_order(start):
+    end = reverse_order(start)
+    if any(masks[x] != calc.exit_mask(end, x) for x in range(n)):
         raise ValueError("the swaps do not end at the reversal of the start order")
 
 
@@ -269,13 +264,13 @@ def verify_index_stability(calc: IndexCalculator, orders: Sequence[Sequence[int]
     """Index sums of ``calc.G`` agree across ``orders`` and along a transposition walk.
 
     Checks that sum_x i_f(x) is the same integer, chi, at the identity
-    order, at every order of ``orders``, and after every step of the walk
-    of ``transposition_swaps`` from ``start`` to its reversal. Every index
-    is computed from scratch in ``orders`` and at both ends of the walk; a
-    step re-evaluates only the indices it can change (``walk_index_sums``),
-    so the walk costs O(1) index work per swap. The check shares ``calc``'s
-    chi memo with the caller. Raises ValueError if an order is not a
-    permutation of the vertices.
+    order, at every order of ``orders``, and after every step of the bubble
+    walk from ``start`` to its reversal. Every index is computed from
+    scratch in ``orders`` and at both ends of the walk; the walk replays
+    only its m swaps of neighbours (``walk_index_sums``), so it costs
+    O(n + m) index work. The check shares ``calc``'s chi memo with the
+    caller. Raises ValueError if an order is not a permutation of the
+    vertices.
     """
     n = calc.G.n
     orders = [validate_order(order, n) for order in orders]

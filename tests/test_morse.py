@@ -31,7 +31,6 @@ from graphcurvature.morse import (
     poincare_hopf_chi,
     random_order,
     reverse_order,
-    transposition_swaps,
     validate_order,
     verify_index_stability,
     walk_index_sums,
@@ -383,51 +382,6 @@ class TestIntermediateEquations:
             assert all(r.equal for r in IndexCalculator(G).intermediate_checks(f, count_cliques(G)))
 
 
-def _orders_along_swaps(start):
-    """The start order, then the order after each swap of ``transposition_swaps``."""
-    ranks = list(start)
-    orders = [tuple(ranks)]
-    for a, b in transposition_swaps(start):
-        ranks[a], ranks[b] = ranks[b], ranks[a]
-        orders.append(tuple(ranks))
-    return orders
-
-
-class TestTranspositionPath:
-    def test_endpoints_and_length(self):
-        start = (2, 0, 3, 1)
-        path = _orders_along_swaps(start)
-        n = 4
-        assert path[0] == start
-        assert path[-1] == reverse_order(start)
-        assert len(path) == 1 + n * (n - 1) // 2
-
-    def test_each_step_is_adjacent_rank_swap(self):
-        start = random_order(6, 5)
-        path = _orders_along_swaps(start)
-        for a, b in zip(path, path[1:]):
-            moved = [v for v in range(6) if a[v] != b[v]]
-            assert len(moved) == 2
-            u, w = moved
-            assert {a[u], a[w]} == {b[u], b[w]} and abs(a[u] - a[w]) == 1
-
-    def test_swaps_replay_the_path(self):
-        start = random_order(7, 2)
-        path = _orders_along_swaps(start)
-        swaps = list(transposition_swaps(start))
-        assert len(swaps) == len(path) - 1
-        # the swaps walk the bubble reversal, built here without them
-        assert path == list(_bubble_reversal_orders(start))
-        for (a, b), before, after in zip(swaps, path, path[1:]):
-            assert before[b] == before[a] + 1 and (after[a], after[b]) == (before[b], before[a])
-        # the reversal swaps every pair of vertices exactly once
-        assert sorted(tuple(sorted(s)) for s in swaps) == [(u, v) for u in range(7) for v in range(u + 1, 7)]
-
-    def test_stability(self):
-        for G in (cycle_graph(7), complete_graph(5), erdos_renyi(10, 0.5, seed=6)):
-            assert stability(IndexCalculator(G), trials=25, seed=3)
-
-
 def _bubble_reversal_orders(start):
     """The start order, then the order after each bubble swap to its reversal.
 
@@ -444,12 +398,21 @@ def _bubble_reversal_orders(start):
             yield tuple(ranks)
 
 
+def _edge_step_orders(G, start):
+    """The start order, then the order after each bubble swap of two neighbours."""
+    orders = list(_bubble_reversal_orders(start))
+    steps = zip(orders, orders[1:])
+    return orders[:1] + [after for before, after in steps
+                         if G.has_edge(*(v for v in range(G.n) if before[v] != after[v]))]
+
+
 class TestWalkSumsAgainstReference:
-    """The stability walk's index sum after every step, against ``reference_index``.
+    """The stability walk's index sum after every swap of two neighbours, against ``reference_index``.
 
     The reference applies the bubble reversal itself and sums
     ``reference_index``, which counts cliques of an induced subgraph and
-    shares no code with the calculator's per-vertex masks and memo.
+    shares no code with the calculator's per-vertex masks and memo. A swap
+    of two non-neighbours changes no index, so the replay yields no sum for it.
     """
 
     GRAPHS = [(name, G) for name, G in base_corpus() if G.n <= 10] + [
@@ -459,64 +422,76 @@ class TestWalkSumsAgainstReference:
     @pytest.mark.parametrize("name, G", GRAPHS, ids=[name for name, _ in GRAPHS])
     def test_every_step(self, name, G):
         start = random_order(G.n, 11)
-        expected = [sum(reference_index(G, order, x) for x in range(G.n)) for order in _bubble_reversal_orders(start)]
-        assert len(expected) == 1 + G.n * (G.n - 1) // 2
+        expected = [sum(reference_index(G, order, x) for x in range(G.n)) for order in _edge_step_orders(G, start)]
+        assert len(expected) == 1 + G.edge_count
         assert list(walk_index_sums(IndexCalculator(G), start)) == expected
 
 
 class TestStabilityWalk:
-    """The walk's own checks: consecutive ranks, the end order, the end sums."""
+    """The walk's own checks: its length, the end masks, the end sums."""
+
+    def test_stability(self):
+        for G in (cycle_graph(7), complete_graph(5), erdos_renyi(10, 0.5, seed=6)):
+            assert stability(IndexCalculator(G), trials=25, seed=3)
+
+    def test_one_sum_per_edge(self):
+        """1 + m sums, not one per transposition of the n(n-1)/2."""
+        G = erdos_renyi(30, 0.2, seed=4)
+        assert 0 < G.edge_count < G.n * (G.n - 1) // 2
+        assert len(list(walk_index_sums(IndexCalculator(G), random_order(G.n, 2)))) == 1 + G.edge_count
 
     @pytest.mark.parametrize("G", [octahedron(), icosahedron(), erdos_renyi(12, 0.4, seed=1)],
                              ids=["octahedron", "icosahedron", "er12"])
     def test_running_sum_follows_a_local_fault(self, monkeypatch, G):
-        """An index that is wrong but still local: the running sum tracks its every change."""
-        original = IndexCalculator.index
-        monkeypatch.setattr(IndexCalculator, "index", lambda self, order, x: original(self, order, x)
-                            + (sum(order[u] < order[x] for u in self.G.adj[x]) == 2))
+        """A per-mask chi that is wrong but still local: the running sum tracks its every change."""
+        original = morse.chi_in_mask
+        monkeypatch.setattr(morse, "chi_in_mask", lambda masks, mask: original(masks, mask) + (mask.bit_count() == 2))
         calc = IndexCalculator(G)
         start = random_order(G.n, 5)
-        expected = [calc.index_sum(order) for order in _bubble_reversal_orders(start)]
+        expected = [calc.index_sum(order) for order in _edge_step_orders(G, start)]
         assert len(set(expected)) > 1
         assert list(walk_index_sums(calc, start)) == expected
 
     def test_index_calls_linear_in_n_plus_m(self, monkeypatch):
-        """(trials + 3) n + 2m evaluations: chi, the random orders, both ends, 2 per edge."""
+        """(trials + 3) n + 2m evaluations: chi, the random orders, both ends, 2 per edge.
+
+        An evaluation is an ``index`` call or a per-mask chi taken outside
+        one; ``index`` itself takes the per-mask chi on a memo miss.
+        """
         G = erdos_renyi(400, 0.02, seed=8)
-        calls = [0]
-        original = IndexCalculator.index
+        calls, depth = [0, 0], [0]
+        index, chi = IndexCalculator.index, IndexCalculator.chi_of_exit_mask
 
-        def counted(self, order, x):
+        def counted_index(self, order, x):
             calls[0] += 1
-            return original(self, order, x)
+            depth[0] += 1
+            try:
+                return index(self, order, x)
+            finally:
+                depth[0] -= 1
 
-        monkeypatch.setattr(IndexCalculator, "index", counted)
+        def counted_chi(self, x, mask):
+            calls[1] += not depth[0]
+            return chi(self, x, mask)
+
+        monkeypatch.setattr(IndexCalculator, "index", counted_index)
+        monkeypatch.setattr(IndexCalculator, "chi_of_exit_mask", counted_chi)
         trials = 5
         assert stability(IndexCalculator(G), trials=trials, seed=3)
-        assert 0 < calls[0] <= (trials + 3) * G.n + 2 * G.edge_count
+        assert calls[1] == 2 * G.edge_count
+        assert 0 < sum(calls) <= (trials + 3) * G.n + 2 * G.edge_count
 
     @pytest.mark.parametrize("fault", [
         lambda swaps: iter(()),
         lambda swaps: iter(list(swaps)[:-1]),
     ], ids=["no_swaps", "last_swap_skipped"])
     def test_walk_not_ending_at_the_reversal_fails(self, monkeypatch, fault):
+        """A replay that leaves out edge swaps ends at the wrong exit masks."""
         start = random_order(6, 4)
-        real = transposition_swaps
-        monkeypatch.setattr(morse, "transposition_swaps", lambda s: fault(real(s)))
+        real = morse._edge_swaps
+        monkeypatch.setattr(morse, "_edge_swaps", lambda adj, s: fault(real(adj, s)))
         with pytest.raises(ValueError, match="do not end at the reversal"):
             list(walk_index_sums(IndexCalculator(octahedron()), start))
-        assert not stability(IndexCalculator(octahedron()), trials=0, seed=1)
-
-    def test_swap_of_non_consecutive_ranks_fails(self, monkeypatch):
-        # reverse by swapping ranks j and n-1-j: it ends at the reversal, but
-        # its first swap joins ranks 0 and n-1
-        def mirror(start):
-            by_rank = sorted(range(len(start)), key=start.__getitem__)
-            return ((by_rank[j], by_rank[-1 - j]) for j in range(len(start) // 2))
-
-        monkeypatch.setattr(morse, "transposition_swaps", mirror)
-        with pytest.raises(ValueError, match="skips a rank"):
-            list(walk_index_sums(IndexCalculator(octahedron()), random_order(6, 4)))
         assert not stability(IndexCalculator(octahedron()), trials=0, seed=1)
 
     def test_orders_must_be_permutations(self):
