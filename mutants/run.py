@@ -144,6 +144,22 @@ MUTANTS = (
          "tests/test_cliques.py::TestChiInMask::test_matches_clique_counts_and_brute_force_on_random_masks"),
     ),
     Mutant(
+        "shared_rows_ignore_the_master_seed",
+        "src/graphcurvature/percolation.py",
+        "    key = (plan.master_seed, plan.samples)\n",
+        "    key = (0, plan.samples)\n",
+        ("tests/test_percolation.py::TestSharedDraws::test_passes_in_one_scope_equal_standalone_calls",),
+    ),
+    Mutant(
+        "shared_rows_served_one_trial_late",
+        "src/graphcurvature/percolation.py",
+        "    return lambda lo, size: drawn[lo:lo + size, :width]\n",
+        "    return lambda lo, size: drawn[lo + 1:lo + size + 1, :width]\n",
+        ("tests/test_percolation.py::TestSharedDraws::test_corpus_summaries_equal_the_reference[tree_n20_s0]",
+         "tests/test_percolation.py::TestEngineAgainstReference::test_benchmark_cases[site-2]",
+         "tests/test_percolation.py::TestEngineAgainstReference::test_summary_and_rows[icosahedron-site-None]"),
+    ),
+    Mutant(
         "every_standard_error_doubled",
         "src/graphcurvature/trials.py",
         "    return mean, (max(var, 0.0) / samples) ** 0.5\n",

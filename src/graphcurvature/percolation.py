@@ -9,25 +9,31 @@ vertices, resp. all of its k(k+1)/2 edges, are kept, so by linearity
 
 and averaging over p uniform in [0,1] gives survival ratios 1/(k+2) and
 1/(k(k+1)/2 + 1) regardless of the host. The Monte Carlo route samples p
-fresh per trial unless a fixed p is requested.
+fresh per trial unless a fixed p is requested. Passes inside one
+``shared_draws()`` block read each trial's row of uniforms once.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .cliques import cliques_of_size
 from .graphs import Graph
 from .trials import DEFAULT_SEED, TrialPlan, mean_and_stderr, sum_vectors
 
 if TYPE_CHECKING:
+    from contextvars import ContextVar
+
     import numpy as np
 
 MODES = ("site", "bond")
 _BLOCK_BYTES = 1 << 18  # budget for one block's uniforms, gathered event uniforms and survival flags
+_SHARED_CELLS = 1 << 16  # uniforms a whole run may keep drawn (512 KiB), rows padded to 16
 
 
 def survival_exponent(k: int, mode: str) -> int:
@@ -142,7 +148,7 @@ def _survival_pass(G: Graph, k: int, trials: int, seed: int, mode: str, workers:
     points = 1 if drawn else len(grid)
     width = drawn + (G.n if mode == "site" else len(G.edges))
     block = max(1, min(trials, _BLOCK_BYTES // (8 * (width + vk * (exponent + 1)) + points * vk)))
-    uniforms = np.empty((block, width))
+    uniforms = _trial_rows(plan, width, block)
     fixed = None if drawn else np.array(grid, dtype=float)[:, None]
 
     # Survivor sums at each point, their sums of squares, then the chunk's
@@ -152,9 +158,7 @@ def _survival_pass(G: Graph, k: int, trials: int, seed: int, mode: str, workers:
         rows = []
         for lo in range(chunk.start, chunk.stop, block):
             size = min(block, chunk.stop - lo)
-            for i in range(size):
-                plan.trial_rng(lo + i).random(out=uniforms[i])
-            u = uniforms[:size]
+            u = uniforms(lo, size)
             top = u[:, events].max(axis=2, initial=-np.inf)
             counts = (top[:, None, :] < (u[:, :1, None] if drawn else fixed)).sum(axis=2)
             moments = sum_vectors(moments, np.hstack([counts, counts * counts]).sum(axis=0).tolist())
@@ -172,6 +176,69 @@ def _survival_pass(G: Graph, k: int, trials: int, seed: int, mode: str, workers:
             stderr=None if se is None else se / vk, exact=exact, master_seed=seed,
         ))
     return summaries, rows
+
+
+@lru_cache(maxsize=None)
+def _kept_rows() -> ContextVar:
+    """The rows the current ``shared_draws`` block keeps, unset outside one.
+
+    Made on first use, so that importing this module imports nothing more.
+    """
+    from contextvars import ContextVar
+    return ContextVar("graphcurvature.percolation.kept_rows")
+
+
+@contextmanager
+def shared_draws() -> Iterator[None]:
+    """A block in which survival passes draw each trial's uniforms once.
+
+    Trial t's row depends only on (seed, t), and a pass reads the first
+    ``width`` uniforms of it, so passes with the same seed and trial count
+    can read one drawing of every row (common random numbers), and each
+    still returns exactly what it returns alone. Only a run whose rows fit
+    _SHARED_CELLS is kept, the latest one only, and nothing outlives the
+    block.
+    """
+    kept = _kept_rows()
+    token = kept.set({})
+    try:
+        yield
+    finally:
+        kept.reset(token)
+
+
+def _trial_rows(plan: TrialPlan, width: int, block: int) -> Callable[[int, int], np.ndarray]:
+    """``rows(lo, size)``: the uniforms of trials lo .. lo + size - 1, one row
+    of ``width`` per trial, at most ``block`` trials a call.
+
+    Trial t's row is the first ``width`` uniforms of ``plan.trial_rng(t)``.
+    When every trial's row fits _SHARED_CELLS at ``width`` rounded up to a
+    multiple of 16, all rows are drawn at that width up front and each call
+    returns a read-only slice of them; in a ``shared_draws`` block a later
+    pass with the same seed, the same trial count and no wider rows slices
+    the same drawing. Otherwise each call refills one block buffer.
+    """
+    import numpy as np
+    padded = -(-width // 16) * 16
+    if plan.samples * padded > _SHARED_CELLS:
+        buffer = np.empty((block, width))
+
+        def fill(lo: int, size: int) -> np.ndarray:
+            for i in range(size):
+                plan.trial_rng(lo + i).random(out=buffer[i])
+            return buffer[:size]
+        return fill
+    kept = _kept_rows().get({})  # outside a shared_draws block, kept for this pass only
+    key = (plan.master_seed, plan.samples)
+    drawn = kept.get(key)
+    if drawn is None or drawn.shape[1] < width:
+        drawn = np.empty((plan.samples, padded))
+        for t in range(plan.samples):
+            plan.trial_rng(t).random(out=drawn[t])
+        drawn.flags.writeable = False
+        kept.clear()
+        kept[key] = drawn
+    return lambda lo, size: drawn[lo:lo + size, :width]
 
 
 def clique_survival_integral(
@@ -207,6 +274,8 @@ def survival_grid(
     ``clique_survival_integral(..., fixed_p=p)`` at that p.
     """
     points = [float(p) for p in grid]
+    if not points:
+        raise ValueError("grid must hold at least one keep probability")
     summaries, _ = _survival_pass(G, k, trials, seed, mode, workers, points, 0)
     return tuple(
         {"p": p, "ratio": s.estimate, "stderr": s.stderr, "exact": s.exact}

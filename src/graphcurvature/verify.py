@@ -41,6 +41,7 @@ from .morse import (
 from .percolation import (
     clique_survival_integral,
     exact_survival_polynomial,
+    shared_draws,
     survival_exponent,
 )
 from .trials import DEFAULT_SEED
@@ -268,7 +269,8 @@ def percolation_suite(graphs: Sequence[NamedFacts], seed: int = DEFAULT_SEED) ->
     integrate to v_k/(exponent+1) in both modes; its coefficient counts the
     Monte Carlo engine's event lists, built from one host listing per k, so
     this checks them against count_cliques. One modest site run at k=1 is
-    checked against 1/3 within six standard errors.
+    checked against 1/3 within six standard errors; every graph's run reads
+    the same trial rows, drawn once in one ``shared_draws`` block.
     """
     def check(F):
         G, fvec = F.G, F.fvec
@@ -288,7 +290,8 @@ def percolation_suite(graphs: Sequence[NamedFacts], seed: int = DEFAULT_SEED) ->
             ok = s.stderr is not None and abs(s.estimate - 1 / 3) <= 6 * s.stderr
             yield ":mc", ok, f"estimate {s.estimate:.4f} vs 1/3, stderr {s.stderr:.4f}"
 
-    return _rows("percolation", graphs, check)
+    with shared_draws():
+        return _rows("percolation", graphs, check)
 
 
 def run_suites(

@@ -6,8 +6,9 @@ from math import comb, factorial
 
 import pytest
 
-from graphcurvature import percolation, trials
+from graphcurvature import percolation, trials, verify
 from graphcurvature.cliques import cliques_of_size, count_cliques
+from graphcurvature.corpus import base_corpus, er_corpus
 from graphcurvature.graphs import (
     Graph,
     complete_graph,
@@ -22,10 +23,11 @@ from graphcurvature.percolation import (
     MODES,
     clique_survival_integral,
     exact_survival_polynomial,
+    shared_draws,
     survival_exponent,
     survival_grid,
 )
-from graphcurvature.trials import mean_and_stderr
+from graphcurvature.trials import TrialPlan, mean_and_stderr
 from test_trials import reference_trial_rng
 
 
@@ -223,6 +225,14 @@ class TestMonteCarlo:
         for r in rows:
             assert abs(r["ratio"] - r["exact"]) <= 4 * r["stderr"]
 
+    def test_empty_grid_is_rejected_before_any_draw(self, monkeypatch):
+        def no_draw(plan, t):
+            raise AssertionError(f"trial {t} drawn")
+
+        monkeypatch.setattr(TrialPlan, "trial_rng", no_draw)
+        with pytest.raises(ValueError, match="at least one keep probability"):
+            survival_grid(icosahedron(), 1, 50_000, seed=9, grid=())
+
     @pytest.mark.parametrize("mode", MODES)
     def test_grid_rows_equal_fixed_p_summaries(self, mode):
         """One pass over every grid point gives each point's own fixed-p run."""
@@ -325,3 +335,68 @@ class TestEngineAgainstReference:
         # A budget of one byte makes every block a single trial.
         monkeypatch.setattr(percolation, "_BLOCK_BYTES", 1, raising=False)
         assert run_all() == base
+
+
+@pytest.fixture(scope="module")
+def verify_mc_summaries():
+    """Graph name -> the :mc row's summary of ``percolation_suite`` at seed 3,
+    on the corpus of ``graphcurv verify``, whose runs share one drawing of
+    every trial's row."""
+    corpus = base_corpus() + er_corpus(20)
+    names = {id(G): name for name, G in corpus}
+    summaries = {}
+    run = verify.clique_survival_integral
+
+    def recorded(G, *args, **kwargs):
+        report = run(G, *args, **kwargs)
+        summaries[names[id(G)]] = (args, kwargs, report.summary)
+        return report
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "clique_survival_integral", recorded)
+        verify.run_suites(corpus, suites=("percolation",), seed=3)
+    return corpus, summaries
+
+
+class TestSharedDraws:
+    """Passes in one shared_draws block return what each returns alone."""
+
+    def test_corpus_summaries_equal_standalone_calls(self, verify_mc_summaries):
+        corpus, summaries = verify_mc_summaries
+        assert sorted(summaries) == sorted(name for name, G in corpus if G.edges)
+        for name, G in corpus:
+            if name in summaries:
+                args, kwargs, summary = summaries[name]
+                assert clique_survival_integral(G, *args, **kwargs).summary == summary, name
+
+    @pytest.mark.parametrize("name", ["cycle_3", "tree_n13_s0", "tree_n20_s0", "er_n30_q0.2_s0"])
+    def test_corpus_summaries_equal_the_reference(self, verify_mc_summaries, name):
+        """Rows of 4, 14, 21 and 31 uniforms: the first drawing (16 columns),
+        a later reader of it, the drawing that widens it to 32 columns and a
+        later reader of that."""
+        corpus, summaries = verify_mc_summaries
+        G = dict(corpus)[name]
+        args, kwargs, s = summaries[name]
+        assert (args, kwargs) == ((1, verify.PERCOLATION_TRIALS), {"seed": 3, "mode": "site"})
+        estimate, stderr, _ = reference_survival(G, 1, verify.PERCOLATION_TRIALS, 3, "site", None)
+        assert (s.estimate, s.stderr) == (estimate, stderr)
+
+    def test_passes_in_one_scope_equal_standalone_calls(self):
+        passes = [
+            (cycle_graph(5), 3, 2000, "site", None),
+            (icosahedron(), 4, 2000, "site", None),
+            (icosahedron(), 3, 2000, "bond", None),  # 31 columns: the rows widen
+            (octahedron(), 3, 2000, "site", 0.4),
+            (cycle_graph(5), 3, 1000, "site", None),
+            (icosahedron(), 3, 2000, "site", None),
+        ]
+
+        def run(G, seed, n_trials, mode, fixed_p):
+            rep = clique_survival_integral(G, 1, n_trials, seed=seed, mode=mode, fixed_p=fixed_p,
+                                           row_limit=40)
+            return rep.summary, row_items(rep.rows)
+
+        with shared_draws():
+            shared = [run(*args) for args in passes]
+        for args, got in zip(passes, shared):
+            assert got == run(*args), args[1:]

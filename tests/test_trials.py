@@ -7,7 +7,7 @@ from numpy.random.bit_generator import ISeedSequence
 from graphcurvature.expectation import mc_index_expectation
 from graphcurvature.graphs import icosahedron, octahedron
 from graphcurvature.morse import IndexCalculator
-from graphcurvature.percolation import clique_survival_integral, survival_grid
+from graphcurvature.percolation import clique_survival_integral, shared_draws, survival_grid
 from graphcurvature.trials import DEFAULT_SEED, TrialPlan, mean_and_stderr, sum_vectors
 
 
@@ -136,6 +136,23 @@ class TestOneStreamPerTrial:
     def test_survival_grid(self, seen, mode, grid):
         survival_grid(icosahedron(), 1, 250, seed=4, mode=mode, grid=grid)
         assert seen == list(range(250))
+
+    def test_passes_that_fit_draw_each_trial_once_per_block(self, seen):
+        """250 rows of 31 (bond) and then 13 (site) uniforms fit the budget:
+        the site pass reads the bond pass's rows. Nothing outlives the block."""
+        with shared_draws():
+            clique_survival_integral(icosahedron(), 1, 250, seed=4, mode="bond")
+            clique_survival_integral(icosahedron(), 1, 250, seed=4, mode="site", row_limit=9)
+        assert seen == list(range(250))
+        clique_survival_integral(icosahedron(), 1, 250, seed=4, mode="site")
+        assert seen == list(range(250)) * 2
+
+    def test_passes_that_do_not_fit_draw_each_trial_each(self, seen):
+        """6000 rows of 13 uniforms, padded to 16, pass the budget."""
+        with shared_draws():
+            for mode in ("site", "site", "bond"):
+                clique_survival_integral(icosahedron(), 1, 6000, seed=4, mode=mode)
+        assert seen == list(range(6000)) * 3
 
     def test_index_expectation(self, seen, monkeypatch):
         """One generator per trial, in trial order, and one index call per target."""

@@ -3,7 +3,8 @@
 import sys
 from collections import Counter
 
-from graphcurvature import cliques, expectation, morse, verify
+from graphcurvature import cliques, expectation, morse, trials, verify
+from graphcurvature.corpus import base_corpus, er_corpus
 from graphcurvature.graphs import complete_graph, cycle_graph, erdos_renyi, octahedron, path_graph
 from graphcurvature.verify import run_suites, summarize
 
@@ -89,6 +90,26 @@ def test_one_host_listing_per_clique_size_in_the_exact_percolation_row(monkeypat
         for size in range(1, min(5, len(fvec) + 1)):
             expected[id(G), size] = 1 + (size == 2)
     assert listings == expected
+
+
+def test_percolation_draws_each_trial_once_per_run(monkeypatch):
+    """Every graph's Monte Carlo row reads the same trials' uniforms, drawn
+    once a run: the corpus's rows widen once, from 16 to 32 columns, so the
+    2000 trials are drawn twice, not once per graph with edges (65)."""
+    seen = []
+    trial_rng = trials.TrialPlan.trial_rng
+
+    def counted(plan, t):
+        seen.append(t)
+        return trial_rng(plan, t)
+
+    monkeypatch.setattr(trials.TrialPlan, "trial_rng", counted)
+    corpus = base_corpus() + er_corpus(20)
+    run_suites(corpus, suites=("percolation",), seed=3)
+    first = len(seen)
+    assert first <= 2 * verify.PERCOLATION_TRIALS
+    run_suites(corpus, suites=("percolation",), seed=3)
+    assert len(seen) == 2 * first
 
 
 def test_index_suites_check_pairwise_distinct_orders(monkeypatch):
