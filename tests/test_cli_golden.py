@@ -14,7 +14,9 @@ and review the diff under ``tests/golden/`` before committing it.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
+import json
 import os
 import re
 import sys
@@ -64,6 +66,11 @@ CASES = {
     "bench": ["bench", "--n", "20", "--q", "0.3", "--seeds", "0,1"],
 }
 
+# sha256 of ``graphcurv verify --seed 3 --format json``: every suite on the
+# 66-graph built-in corpus, 593 rows. A digest rather than a golden file,
+# as the report is about 80 kB; the verify cases above cover one graph each.
+CORPUS_REPORT_SHA256 = "3f7dbde82867ed625feb791bda29672e357c406123db8cb841d37ee8c40a7555"
+
 # Wall-clock fields, masked only in the commands that print them.
 TIMED = ("chi_", "bench")
 _HUMAN_MS = re.compile(r"\d+\.\d+ ms\b")
@@ -104,6 +111,13 @@ def test_output_matches_golden(case, fmt):
     code, out = run([*CASES[case], "--format", fmt])
     assert code == 0
     assert mask(case, fmt, out) == golden_path(case, fmt).read_text()
+
+
+def test_corpus_verify_report_digest():
+    code, out = run(["verify", "--seed", "3", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["summary"] == {"passed": 593, "failed": 0, "skipped": 0, "ok": True}
+    assert hashlib.sha256(out.encode()).hexdigest() == CORPUS_REPORT_SHA256
 
 
 def test_golden_files_are_exactly_the_cases():
