@@ -160,6 +160,41 @@ MUTANTS = (
          "tests/test_percolation.py::TestEngineAgainstReference::test_summary_and_rows[icosahedron-site-None]"),
     ),
     Mutant(
+        "link_memo_stores_one_minus_chi",
+        "src/graphcurvature/cliques.py",
+        "                memo[link] = link_chi\n",
+        "                memo[link] = 1 - link_chi\n",
+        ("tests/test_cliques.py::TestChiInMask::test_matches_clique_counts_and_brute_force_on_random_masks",
+         "tests/test_morse.py::TestChiMemo::test_dense_benchmark_graph",
+         "tests/test_verify.py::test_every_memo_entry_after_a_dense_verify_run_is_exact"),
+    ),
+    Mutant(
+        "side_count_memo_ignores_the_side",
+        "src/graphcurvature/morse.py",
+        "            counts = memo.get(side)\n",
+        "            counts = memo.get(below)\n",
+        ("tests/test_morse.py::TestCliqueSplit::test_memoized_splits_equal_fresh_calculators_and_listed_cliques",
+         "tests/test_morse.py::TestCliqueSplit::test_counts_match_listed_cliques",
+         "tests/test_verify.py::test_side_counts_once_per_vertex_and_side_mask"),
+    ),
+    Mutant(
+        "closed_forms_keyed_by_degree_alone",
+        "src/graphcurvature/verify.py",
+        "        key = (V, d)\n",
+        "        key = d\n",
+        ("tests/test_verify.py::test_closed_forms_built_once_per_sphere_fvector_and_degree",
+         "tests/test_cli_golden.py::test_corpus_verify_report_digest"),
+    ),
+    Mutant(
+        "orders_permuted_along_axis_0",
+        "src/graphcurvature/verify.py",
+        "(count, 1)), axis=1)",
+        "(count, 1)), axis=0)",
+        ("tests/test_verify.py::test_orders_are_the_draws_of_random_order[12]",
+         "tests/test_verify.py::test_orders_are_the_draws_of_random_order[30]",
+         "tests/test_verify.py::test_index_suites_check_pairwise_distinct_orders"),
+    ),
+    Mutant(
         "every_standard_error_doubled",
         "src/graphcurvature/trials.py",
         "    return mean, (max(var, 0.0) / samples) ** 0.5\n",

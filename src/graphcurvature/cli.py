@@ -36,6 +36,8 @@ from .trials import DEFAULT_SEED, TrialPlan
 from .verify import SUITES, run_suites, summarize
 
 FORMATS = ("json", "csv", "human")
+# Most p midpoints ``percolation --grid`` sweeps: about 1.2 MB of JSON rows.
+MAX_GRID_POINTS = 10_000
 # Python's digit limit for int(str); Fraction("1eK") builds a K-digit number.
 _MAX_EXPONENT = sys.int_info.default_max_str_digits
 
@@ -301,6 +303,8 @@ def cmd_percolation(args) -> Output:
 def percolation_grid(G: Graph, seed: int, args) -> Output:
     if args.grid < 1:
         raise ValueError(f"--grid must be at least 1, got {args.grid}")
+    if args.grid > MAX_GRID_POINTS:
+        raise ValueError(f"--grid must be at most {MAX_GRID_POINTS} (MAX_GRID_POINTS), got {args.grid}")
     if args.fixed_p is not None or args.rows:
         raise ValueError("--grid sweeps p itself and reports no trial rows; drop --fixed-p and --rows")
     points = [(i + 0.5) / args.grid for i in range(args.grid)]

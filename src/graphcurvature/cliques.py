@@ -18,7 +18,8 @@ memory and never builds the graph's n-bit ``adjacency_masks``.
 
 ``chi_in_mask`` gives the Euler characteristic of a masked subgraph
 without listing its cliques: a set with a cone point is contractible, so
-only sets without one are split into their vertices' links.
+only sets without one are split into their vertices' links, each link's
+chi kept in a memo the caller owns.
 """
 from __future__ import annotations
 
@@ -162,7 +163,7 @@ def count_cliques_in_mask(masks: Sequence[int], candidates: int,
     return tuple(counts)
 
 
-def chi_in_mask(masks: Sequence[int], candidates: int) -> int:
+def chi_in_mask(masks: Sequence[int], candidates: int, memo: dict[int, int]) -> int:
     """Euler characteristic of the subgraph induced on the ``candidates`` bitmask.
 
     ``masks`` must be symmetric: bit j of ``masks[i]`` is set exactly when
@@ -174,6 +175,11 @@ def chi_in_mask(masks: Sequence[int], candidates: int) -> int:
     lowest first, so the work on it stays linear in |A|; only the B_v
     recurse, so the depth is at most the clique number.  A one-bit B_v
     adds 0 and is not descended into.
+
+    ``memo`` maps a candidates mask of ``masks`` to its chi: each B_v is
+    looked up there before it is recursed into, and its chi is stored
+    there after, so a link shared by several sets is evaluated once.
+    ``candidates`` itself is neither read nor stored.
     """
     m = candidates
     while m:
@@ -189,7 +195,11 @@ def chi_in_mask(masks: Sequence[int], candidates: int) -> int:
         if not link:
             chi += 1
         elif link & (link - 1):
-            chi += 1 - chi_in_mask(masks, link)
+            link_chi = memo.get(link)
+            if link_chi is None:
+                link_chi = chi_in_mask(masks, link, memo)
+                memo[link] = link_chi
+            chi += 1 - link_chi
     return chi
 
 

@@ -124,10 +124,12 @@ class IndexCalculator:
     so ``index``, i_f(x) = 1 - chi(S_f^-(x)), is cheap when evaluating
     thousands of orders on the same graph. A memo miss takes chi from
     ``chi_in_mask``, which lists no cliques: an exit set with a cone point
-    has chi 1, and any other is summed over its vertices' links. The
-    f-vectors come from ``count_cliques_in_mask`` on the same masks:
-    ``clique_split`` counts the cliques on each side of x, and each whole
-    sphere is counted once per calculator (``sphere_fvec``).
+    has chi 1, and any other is summed over its vertices' links, whose chis
+    it keeps in the same per-vertex memo, as each link is a sphere subset
+    too. The f-vectors come from ``count_cliques_in_mask`` on the same
+    masks: ``clique_split`` counts the cliques on each side of x, once per
+    (x, side mask), and each whole sphere is counted once per calculator
+    (``sphere_fvec``).
     """
 
     def __init__(self, G: Graph):
@@ -135,6 +137,9 @@ class IndexCalculator:
         self._local_masks = [sphere_masks(G, x) for x in range(G.n)]
         self._chi_cache: list[dict[int, int]] = [{} for _ in range(G.n)]
         self._sphere_fvecs: list[FVector | None] = [None] * G.n
+        # Per vertex, side mask -> its padded clique counts; made by the
+        # first ``clique_split``, as only the intermediate checks read it.
+        self._side_counts: list[dict[int, tuple[int, ...]]] | None = None
 
     def exit_mask(self, order: Sequence[int], x: int) -> int:
         """Bitmask of sphere positions whose vertex has smaller rank than x."""
@@ -151,7 +156,7 @@ class IndexCalculator:
         cache = self._chi_cache[x]
         chi = cache.get(mask)
         if chi is None:
-            chi = chi_in_mask(self._local_masks[x], mask)
+            chi = chi_in_mask(self._local_masks[x], mask, cache)
             cache[mask] = chi
         return chi
 
@@ -189,14 +194,21 @@ class IndexCalculator:
         Entry k of each tuple counts (k+1)-vertex cliques of S(x) whose
         vertices lie entirely below x in the order, entirely above, or on
         both sides. The mixed count is all sphere cliques minus the other two.
+        Each side's counts are memoized by its mask.
         """
+        if self._side_counts is None:
+            self._side_counts = [{} for _ in range(self.G.n)]
+        memo = self._side_counts[x]
         masks = self._local_masks[x]
-        full = (1 << len(masks)) - 1
         below = self.exit_mask(order, x)
         total = self.sphere_fvec(x)
-        pad = (0,) * len(total)
-        minus = (count_cliques_in_mask(masks, below) + pad)[:len(total)]
-        plus = (count_cliques_in_mask(masks, full ^ below) + pad)[:len(total)]
+        sides = []
+        for side in (below, ((1 << len(masks)) - 1) ^ below):
+            counts = memo.get(side)
+            if counts is None:
+                counts = memo[side] = (count_cliques_in_mask(masks, side) + (0,) * len(total))[:len(total)]
+            sides.append(counts)
+        minus, plus = sides
         return minus, plus, tuple(t - m - p for t, m, p in zip(total, minus, plus))
 
     def intermediate_checks(self, order: Sequence[int], fvec: FVector) -> tuple[IdentityCheck, ...]:

@@ -32,12 +32,7 @@ from .expectation import (
     expected_index,
 )
 from .graphs import Graph
-from .morse import (
-    IndexCalculator,
-    VertexOrder,
-    random_order,
-    verify_index_stability,
-)
+from .morse import IndexCalculator, VertexOrder, verify_index_stability
 from .percolation import (
     clique_survival_integral,
     exact_survival_polynomial,
@@ -85,13 +80,16 @@ class GraphFacts:
     program meets the sphere curvature and the calculator's sphere counts.
     ``suites`` names the suites that will read the facts, so that only
     the subset tables they check are summed; ``seed`` seeds the graph's
-    random orders.
+    random orders. ``closed_forms`` holds the closed-form tables by their
+    whole input, (V(x), deg x), so the graphs of one run can share it.
     """
 
-    def __init__(self, G: Graph, suites: Sequence[str], seed: int):
+    def __init__(self, G: Graph, suites: Sequence[str], seed: int,
+                 closed_forms: dict[tuple[FVector, int], tuple] | None = None):
         self.G = G
         self.suites = suites
         self.seed = seed
+        self.closed_forms = {} if closed_forms is None else closed_forms
         self._subset_sums: dict[int, tuple] = {}
 
     @cached_property
@@ -104,7 +102,10 @@ class GraphFacts:
         import numpy as np
         rng = np.random.default_rng(self.seed)
         count = POINCARE_HOPF_ORDERS + INTERMEDIATE_ORDERS + STABILITY_ORDERS + 1
-        return tuple(random_order(self.G.n, rng) for _ in range(count))
+        # One call shuffles each row in turn, drawing what ``count``
+        # ``random_order(n, rng)`` calls would.
+        rows = rng.permuted(np.tile(np.arange(self.G.n), (count, 1)), axis=1)
+        return tuple(map(tuple, rows.tolist()))
 
     @cached_property
     def fvec(self) -> FVector:
@@ -145,10 +146,16 @@ class GraphFacts:
 
     def closed_form_counts(self, x: int) -> tuple[tuple[int, ...], ...]:
         """Entry [m][k]: V_k(x) C(d-k-1, m-k-1), as each (k+1)-clique of the
-        sphere lies in that many of its m-subsets; V from ``sphere_fvecs``."""
+        sphere lies in that many of its m-subsets; V from ``sphere_fvecs``,
+        the table built once per (V, d) in ``closed_forms``."""
         V, d = self.sphere_fvecs[x], self.G.degree(x)
-        return tuple(tuple(v * comb(d - k - 1, m - k - 1) if m > k else 0 for k, v in enumerate(V))
-                     for m in range(d + 1))
+        key = (V, d)
+        table = self.closed_forms.get(key)
+        if table is None:
+            table = self.closed_forms[key] = tuple(
+                tuple(v * comb(d - k - 1, m - k - 1) if m > k else 0 for k, v in enumerate(V))
+                for m in range(d + 1))
+        return table
 
 
 NamedFacts = tuple[str, GraphFacts]
@@ -302,10 +309,12 @@ def run_suites(
 ) -> list[CheckResult]:
     """Every suite's rows, the suites in the order given.
 
-    The suites share one ``GraphFacts`` per graph, dropped on return.
+    The suites share one ``GraphFacts`` per graph, and the graphs one
+    table of closed forms, all dropped on return.
     """
     options = {"seed": seed, "degree_cap": degree_cap}
-    facts = [(name, GraphFacts(G, suites, seed)) for name, G in graphs]
+    closed_forms: dict = {}
+    facts = [(name, GraphFacts(G, suites, seed, closed_forms)) for name, G in graphs]
     results: list[CheckResult] = []
     for suite in suites:
         if suite not in _SUITE_OPTIONS:

@@ -95,6 +95,13 @@ class TestGenerate:
         assert code == 2 and captured.out == ""
         assert captured.err == f"error: generator {kind!r} does not read parameter {key}\n"
 
+    @pytest.mark.parametrize("spec, item", [("cycle:n", "n"), ("erdos_renyi:n=5,0.3", "0.3")])
+    def test_parameter_without_a_value_is_usage_error(self, capsys, spec, item):
+        code = main(["generate", spec])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: bad generator parameter {item!r}, expected key=value\n"
+
     def test_repeated_parameter_is_usage_error(self, capsys):
         code = main(["generate", "cycle:n=3,n=4"])
         captured = capsys.readouterr()
@@ -291,6 +298,7 @@ class TestPercolation:
         (["--grid", "-2"], "--grid must be at least 1, got -2"),
         (["--grid", "4", "--fixed-p", "0.5"], "drop --fixed-p and --rows"),
         (["--grid", "4", "--rows", "3"], "drop --fixed-p and --rows"),
+        (["--grid", "10001"], "--grid must be at most 10000 (MAX_GRID_POINTS), got 10001"),
     ])
     def test_bad_grid_is_usage_error(self, capsys, extra, message):
         code = main(["percolation", "complete:n=5", "--k", "1", "--trials", "50", *extra])

@@ -277,6 +277,8 @@ class TestChiInMask:
     """``chi_in_mask`` against the clique counts and a subset-by-subset oracle."""
 
     def test_matches_clique_counts_and_brute_force_on_random_masks(self):
+        """Each set with a memo of its own and with one memo shared by all sets
+        of its masks; every link the shared memo keeps is checked too."""
         rng = random.Random(27)
         for _ in range(80):
             width = rng.randint(0, 14)
@@ -284,32 +286,36 @@ class TestChiInMask:
             full = (1 << width) - 1
             subsets = [0, full, rng.getrandbits(width) if width else 0, rng.getrandbits(width) & full]
             subsets += [1 << v for v in range(width)]
+            shared = {}
             for cand in subsets:
-                chi = chi_in_mask(masks, cand)
+                chi = chi_in_mask(masks, cand, {})
                 assert chi == euler_characteristic(count_cliques_in_mask(masks, cand)), (masks, cand)
                 assert chi == brute_force_mask_chi(masks, cand), (masks, cand)
+                assert chi_in_mask(masks, cand, shared) == chi, (masks, cand)
+            for link, chi in shared.items():
+                assert chi == brute_force_mask_chi(masks, link), (masks, link)
 
     def test_cones_and_edgeless_sets(self):
         rng = random.Random(4)
         for width in range(15):
             edgeless = [0] * width
-            assert chi_in_mask(edgeless, (1 << width) - 1) == width
+            assert chi_in_mask(edgeless, (1 << width) - 1, {}) == width
             for q in (0.0, 0.3, 0.8):
                 masks = cone_over(random_masks(rng, width, q))
-                assert chi_in_mask(masks, (1 << (width + 1)) - 1) == 1
+                assert chi_in_mask(masks, (1 << (width + 1)) - 1, {}) == 1
                 # the same cone with its apex lowest
                 flipped = [int(f"{m:0{width + 1}b}"[::-1], 2) for m in reversed(masks)]
-                assert chi_in_mask(flipped, (1 << (width + 1)) - 1) == 1
+                assert chi_in_mask(flipped, (1 << (width + 1)) - 1, {}) == 1
 
     def test_octahedron_has_no_cone_point(self):
         masks = octahedron().adjacency_masks
         full = (1 << 6) - 1
         assert all(full & ~m != 1 << v for v, m in enumerate(masks))
-        assert chi_in_mask(masks, full) == 2 == brute_force_mask_chi(masks, full)
+        assert chi_in_mask(masks, full, {}) == 2 == brute_force_mask_chi(masks, full)
         # its cone and its suspension
-        assert chi_in_mask(cone_over(masks), (1 << 7) - 1) == 1
+        assert chi_in_mask(cone_over(masks), (1 << 7) - 1, {}) == 1
         suspension = [m | 0b11 << 6 for m in masks] + [full, full]
-        assert chi_in_mask(suspension, (1 << 8) - 1) == 0 == brute_force_mask_chi(suspension, (1 << 8) - 1)
+        assert chi_in_mask(suspension, (1 << 8) - 1, {}) == 0 == brute_force_mask_chi(suspension, (1 << 8) - 1)
 
     def test_every_exit_mask_of_verify_at_seed_3(self, monkeypatch):
         from graphcurvature import morse
@@ -317,11 +323,12 @@ class TestChiInMask:
         from graphcurvature.verify import run_suites, summarize
 
         seen = []
-        monkeypatch.setattr(morse, "chi_in_mask", lambda masks, mask: seen.append((masks, mask)) or chi_in_mask(masks, mask))
+        monkeypatch.setattr(morse, "chi_in_mask",
+                            lambda masks, mask, memo: seen.append((masks, mask)) or chi_in_mask(masks, mask, memo))
         results = run_suites(list(base_corpus() + er_corpus(20)), suites=("poincare_hopf", "stability"), seed=3)
         assert summarize(results)["failed"] == 0 and len(seen) > 10_000
         for masks, mask in seen:
-            assert chi_in_mask(masks, mask) == euler_characteristic(count_cliques_in_mask(masks, mask)), (masks, mask)
+            assert chi_in_mask(masks, mask, {}) == euler_characteristic(count_cliques_in_mask(masks, mask)), (masks, mask)
 
     def test_wheel_hub_exit_set_is_walked_not_recursed(self):
         from graphcurvature.graphs import sphere_masks
@@ -332,9 +339,9 @@ class TestChiInMask:
                              + [(v, v % rim + 1) for v in range(1, rim + 1)])
         masks = sphere_masks(G, 0)
         full = (1 << rim) - 1
-        assert chi_in_mask(masks, full) == 0  # a cycle
-        assert chi_in_mask(masks, full ^ 1 << 1500) == 1  # a path
-        assert chi_in_mask(masks, full & 0x5555 << 8) == 8  # isolated rim vertices
+        assert chi_in_mask(masks, full, {}) == 0  # a cycle
+        assert chi_in_mask(masks, full ^ 1 << 1500, {}) == 1  # a path
+        assert chi_in_mask(masks, full & 0x5555 << 8, {}) == 8  # isolated rim vertices
         hub_last = (rim,) + tuple(range(rim))
         assert IndexCalculator(G).index(hub_last, 0) == 1
 

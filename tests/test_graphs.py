@@ -81,7 +81,8 @@ class TestValidation:
         (lambda: Graph.from_edges(-1, [(0, 1)]), "edge (0,1) out of range for n=-1"),
         (lambda: from_json('{"n": -1, "edges": []}'), "vertex count must be >= 0, got -1"),
         (lambda: Graph(-1, ()), "vertex count must be >= 0, got -1"),
-    ], ids=["from_edges", "from_edges_with_edge", "from_json", "Graph"])
+        (lambda: erdos_renyi(-1, 0.5, seed=0), "n must be >= 0, got -1"),
+    ], ids=["from_edges", "from_edges_with_edge", "from_json", "Graph", "erdos_renyi"])
     def test_negative_vertex_count_rejected(self, build, message):
         with pytest.raises(ValueError) as excinfo:
             build()
@@ -304,6 +305,9 @@ class TestJson:
         '{"n": 3, "edges": [0, 1]}',
         '{"n": 3, "edges": [[0, 1, 2]]}',
         '{"n": 3, "edges": [[0, false]]}',
+        '[{"n": 3, "edges": []}]',
+        '"n"',
+        '{"edges": []}',
     ])
     def test_rejects_non_integers_and_malformed_edges(self, text):
         with pytest.raises(ValueError, match="graph JSON"):
@@ -434,6 +438,19 @@ class TestGenerators:
                         seen.add(u)
                         frontier.append(u)
             assert len(seen) == n
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: path_graph(0), "path needs n >= 1, got 0"),
+        (lambda: complete_graph(0), "complete graph needs n >= 1, got 0"),
+        (lambda: star_graph(1), "star needs n >= 2, got 1"),
+        (lambda: erdos_renyi(5, -0.1, seed=0), "edge probability must be in [0, 1], got -0.1"),
+        (lambda: erdos_renyi(5, 1.5, seed=0), "edge probability must be in [0, 1], got 1.5"),
+        (lambda: erdos_renyi(5, float("nan"), seed=0), "edge probability must be in [0, 1], got nan"),
+    ], ids=["path", "complete", "star", "er_q_below", "er_q_above", "er_q_nan"])
+    def test_parameter_below_its_bound_error_text(self, build, message):
+        with pytest.raises(ValueError) as excinfo:
+            build()
+        assert str(excinfo.value) == message
 
     def test_erdos_renyi_extremes(self):
         assert erdos_renyi(10, 0.0, seed=7).edges == ()

@@ -7,8 +7,8 @@ from math import factorial
 import numpy as np
 import pytest
 
-from graphcurvature import TrialPlan, mc_index_expectation, morse
-from graphcurvature.cliques import count_cliques, euler_characteristic
+from graphcurvature import TrialPlan, cliques, mc_index_expectation, morse
+from graphcurvature.cliques import count_cliques, count_cliques_in_mask, euler_characteristic
 from graphcurvature.corpus import base_corpus
 from graphcurvature.graphs import (
     Graph,
@@ -176,20 +176,28 @@ class TestIndex:
 
 
 class TestChiMemo:
-    """Memo misses on fixed inputs: one ``chi_in_mask`` call per new exit set.
-
-    The counts are those of the exit-set clique counts the memo filled
-    before ``chi_in_mask``, so the memo keys are unchanged.
-    """
+    """Memo work on fixed inputs. The calculator calls ``chi_in_mask`` once
+    per exit set its memo lacks (a miss), and ``chi_in_mask`` recurses once
+    per link the memo lacks; every call adds its set to the memo, so the
+    memo holds exactly one entry per call, each equal to the chi of the
+    set's clique counts."""
 
     @pytest.fixture
-    def misses(self, monkeypatch):
-        calls = []
-        real = morse.chi_in_mask
-        monkeypatch.setattr(morse, "chi_in_mask", lambda masks, mask: calls.append(mask) or real(masks, mask))
-        return calls
+    def calls(self, monkeypatch):
+        """(misses, every call): the calculator's calls and all calls, recursion included."""
+        misses, every = [], []
+        real = cliques.chi_in_mask
 
-    def test_dense_benchmark_graph(self, misses):
+        def counted(masks, mask, memo):
+            every.append(mask)
+            return real(masks, mask, memo)
+
+        monkeypatch.setattr(cliques, "chi_in_mask", counted)
+        monkeypatch.setattr(morse, "chi_in_mask",
+                            lambda masks, mask, memo: misses.append(mask) or counted(masks, mask, memo))
+        return misses, every
+
+    def test_dense_benchmark_graph(self, calls):
         from test_curvature import perfbench_inputs
 
         G = loads(perfbench_inputs().dense_text(3))
@@ -197,12 +205,30 @@ class TestChiMemo:
         rng = np.random.default_rng(3)
         sums = {calc.index_sum(random_order(G.n, rng)) for _ in range(50)}
         assert sums == {euler_characteristic(count_cliques(G))}
-        assert len(misses) == 1639 == sum(map(len, calc._chi_cache))
+        misses, every = calls
+        assert (len(misses), len(every)) == (1615, 5066) and sum(map(len, calc._chi_cache)) == len(every)
+        assert_chi_memo_exact(calc)
 
-    def test_icosahedron_at_2000_samples(self, misses):
-        report = mc_index_expectation(icosahedron(), TrialPlan(samples=2000, master_seed=3))
+    def test_icosahedron_at_2000_samples(self, calls):
+        made = []
+        init = IndexCalculator.__init__
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(IndexCalculator, "__init__", lambda self, G: made.append(self) or init(self, G))
+            report = mc_index_expectation(icosahedron(), TrialPlan(samples=2000, master_seed=3))
         assert len(report.rows) == 12
-        assert len(misses) == 384  # every exit set of all 12 vertices, 2^5 each, once
+        misses, every = calls
+        # every exit set of all 12 vertices, 2^5 each, once; 11 of them first met as links
+        assert (len(misses), len(every)) == (373, 384) == (len(misses), sum(map(len, made[0]._chi_cache)))
+        assert_chi_memo_exact(made[0])
+
+
+def assert_chi_memo_exact(calc):
+    """Every chi memo entry of ``calc``, links included, equals the alternating
+    sum of its set's clique counts, on masks built apart from the calculator's."""
+    for x, memo in enumerate(calc._chi_cache):
+        masks = sphere_masks(calc.G, x)
+        for key, chi in memo.items():
+            assert chi == euler_characteristic(count_cliques_in_mask(masks, key)), (x, key)
 
 
 class TestPoincareHopf:
@@ -334,8 +360,9 @@ class TestCliqueSplit:
             assert calc.clique_split(f, 12) == ((), (), ())
 
     def test_whole_sphere_counted_once_per_calculator(self, monkeypatch):
-        """Each split counts its two sides; the whole sphere is counted on a
-        vertex's first split only, since it does not depend on the order."""
+        """Each split counts the sides it has not met at its vertex; the whole
+        sphere is counted on a vertex's first split only, since it does not
+        depend on the order."""
         G = erdos_renyi(10, 0.6, seed=5)
         calls = []
         count = morse.count_cliques_in_mask
@@ -343,8 +370,22 @@ class TestCliqueSplit:
         calc = IndexCalculator(G)
         orders = [random_order(10, s) for s in range(4)]
         splits = [calc.clique_split(f, x) for f in orders for x in range(10)]
-        assert len(calls) == 10 + 2 * len(splits)
+        sides = {(x, side) for f in orders for x in range(10)
+                 for side in (calc.exit_mask(f, x), (1 << G.degree(x)) - 1 ^ calc.exit_mask(f, x))}
+        assert len(calls) == 10 + len(sides) < 10 + 2 * len(splits)
         assert splits == [IndexCalculator(G).clique_split(f, x) for f in orders for x in range(10)]
+
+    def test_memoized_splits_equal_fresh_calculators_and_listed_cliques(self):
+        """One calculator over many orders, its side counts memoized, splits as
+        a new calculator per split does and as listing the cliques does;
+        below and above share one memo per vertex, so a side met first as
+        one is read back as the other."""
+        for G in (erdos_renyi(11, 0.6, seed=2), octahedron(), complete_graph(6)):
+            calc = IndexCalculator(G)
+            for f in (random_order(G.n, s) for s in range(20)):
+                for x in range(G.n):
+                    split = calc.clique_split(f, x)
+                    assert split == IndexCalculator(G).clique_split(f, x) == self.listed_split(G, f, x), (f, x)
 
     def test_w0_identically_zero(self):
         G = complete_graph(5)
@@ -445,7 +486,8 @@ class TestStabilityWalk:
     def test_running_sum_follows_a_local_fault(self, monkeypatch, G):
         """A per-mask chi that is wrong but still local: the running sum tracks its every change."""
         original = morse.chi_in_mask
-        monkeypatch.setattr(morse, "chi_in_mask", lambda masks, mask: original(masks, mask) + (mask.bit_count() == 2))
+        monkeypatch.setattr(morse, "chi_in_mask",
+                            lambda masks, mask, memo: original(masks, mask, memo) + (mask.bit_count() == 2))
         calc = IndexCalculator(G)
         start = random_order(G.n, 5)
         expected = [calc.index_sum(order) for order in _edge_step_orders(G, start)]
