@@ -103,9 +103,10 @@ class GraphFacts:
         rng = np.random.default_rng(self.seed)
         count = POINCARE_HOPF_ORDERS + INTERMEDIATE_ORDERS + STABILITY_ORDERS + 1
         # One call shuffles each row in turn, drawing what ``count``
-        # ``random_order(n, rng)`` calls would.
+        # ``random_order(n, rng)`` calls would. Converted row by row, so
+        # no list of all the rows is held beside the tuples.
         rows = rng.permuted(np.tile(np.arange(self.G.n), (count, 1)), axis=1)
-        return tuple(map(tuple, rows.tolist()))
+        return tuple(tuple(row.tolist()) for row in rows)
 
     @cached_property
     def fvec(self) -> FVector:
