@@ -42,6 +42,17 @@ class Mutant(NamedTuple):
     survives: str = ""  # why it is known to survive; empty when it must be killed
 
 
+# run_suites' suite-name check, and its lines from there to its run loop.
+_NAME_CHECK = (
+    "        if suite not in SUITES:\n"
+    "            raise ValueError(f\"unknown suite {suite!r}, expected one of {SUITES + ('all',)}\")\n")
+_UP_TO_RUN_LOOP = (
+    "    closed_forms: dict = {}\n"
+    "    facts = [(name, GraphFacts(G, suites, seed, degree_cap, closed_forms)) for name, G in graphs]\n"
+    "    results: list[CheckResult] = []\n"
+    "    with shared_draws():\n"
+    "        for suite in suites:\n")
+
 MUTANTS = (
     Mutant(
         "gauss_bonnet_drops_a_vertex",
@@ -188,11 +199,25 @@ MUTANTS = (
     Mutant(
         "orders_permuted_along_axis_0",
         "src/graphcurvature/verify.py",
-        "(count, 1)), axis=1)",
-        "(count, 1)), axis=0)",
+        "rng.permuted(rows, axis=1, out=rows)",
+        "rng.permuted(rows, axis=0, out=rows)",
         ("tests/test_verify.py::test_orders_are_the_draws_of_random_order[12]",
          "tests/test_verify.py::test_orders_are_the_draws_of_random_order[30]",
          "tests/test_verify.py::test_index_suites_check_pairwise_distinct_orders"),
+    ),
+    Mutant(
+        "run_suites_without_shared_draws",
+        "src/graphcurvature/verify.py",
+        "    with shared_draws():\n",
+        "    if True:\n",
+        ("tests/test_verify.py::test_percolation_draws_each_trial_once_per_run",),
+    ),
+    Mutant(
+        "suite_names_checked_as_each_suite_runs",
+        "src/graphcurvature/verify.py",
+        "    for suite in suites:\n" + _NAME_CHECK + _UP_TO_RUN_LOOP,
+        _UP_TO_RUN_LOOP + "".join("    " + line for line in _NAME_CHECK.splitlines(True)),
+        ("tests/test_verify.py::test_unknown_suite_is_named",),
     ),
     Mutant(
         "every_standard_error_doubled",

@@ -1,12 +1,13 @@
 """Pass/fail suites for every identity the library implements.
 
-Each suite takes the (name, GraphFacts) pairs that ``run_suites`` builds
-and returns CheckResult rows: one row per graph (percolation: an exact
-row, and a Monte Carlo row when the graph has edges), plus, in the exact
-expectation and averaging suites, one SKIP row per vertex above the
-degree cap. Skipped checks carry their reason and are not failures, so
-dense corpus graphs never block a verification run. Suite sizes are fixed
-module constants; a run sets only seed and degree cap.
+Each ``<suite>_suite`` checks one graph's ``GraphFacts`` and returns its
+(suffix, ok, detail) rows: one row (percolation: an exact row, and a Monte
+Carlo row when the graph has edges), plus, in the exact expectation and
+averaging suites, one SKIP row per vertex above the degree cap.
+``run_suites`` runs each suite over every graph and names each row by its
+graph. Skipped checks carry their reason and are not failures, so dense
+corpus graphs never block a verification run. Suite sizes are fixed module
+constants; a run sets only seed and degree cap, which the facts carry.
 
 Every suite reads the same ``GraphFacts`` per graph, so the facts several
 suites read are computed once per run; the three suites that draw random
@@ -32,7 +33,7 @@ from .expectation import (
     expected_index,
 )
 from .graphs import Graph
-from .morse import IndexCalculator, VertexOrder, verify_index_stability
+from .morse import IndexCalculator, verify_index_stability
 from .percolation import (
     clique_survival_integral,
     exact_survival_polynomial,
@@ -49,18 +50,8 @@ STABILITY_ORDERS = 50
 PERCOLATION_MAX_K = 3
 PERCOLATION_TRIALS = 2000
 
-# suite -> the run_suites options its ``<suite>_suite`` function takes.
-_SUITE_OPTIONS = {
-    "gauss_bonnet": (),
-    "poincare_hopf": (),
-    "transfer": (),
-    "intermediate": (),
-    "stability": (),
-    "expectation": ("degree_cap",),
-    "averaging": ("degree_cap",),
-    "percolation": ("seed",),
-}
-SUITES = tuple(_SUITE_OPTIONS)
+SUITES = ("gauss_bonnet", "poincare_hopf", "transfer", "intermediate",
+          "stability", "expectation", "averaging", "percolation")
 
 
 @dataclass(frozen=True)
@@ -80,33 +71,36 @@ class GraphFacts:
     program meets the sphere curvature and the calculator's sphere counts.
     ``suites`` names the suites that will read the facts, so that only
     the subset tables they check are summed; ``seed`` seeds the graph's
-    random orders. ``closed_forms`` holds the closed-form tables by their
-    whole input, (V(x), deg x), so the graphs of one run can share it.
+    random orders and its percolation trials; the table suites check the
+    vertices of degree at most ``degree_cap``. ``closed_forms`` holds the
+    closed-form tables by their whole input, (V(x), deg x), so the graphs
+    of one run can share it.
     """
 
-    def __init__(self, G: Graph, suites: Sequence[str], seed: int,
-                 closed_forms: dict[tuple[FVector, int], tuple] | None = None):
+    def __init__(self, G: Graph, suites: Sequence[str], seed: int, degree_cap: int,
+                 closed_forms: dict[tuple[FVector, int], tuple]):
         self.G = G
         self.suites = suites
         self.seed = seed
-        self.closed_forms = {} if closed_forms is None else closed_forms
+        self.degree_cap = degree_cap
+        self.closed_forms = closed_forms
         self._subset_sums: dict[int, tuple] = {}
 
     @cached_property
-    def orders(self) -> tuple[VertexOrder, ...]:
-        """The graph's one stream of random orders, drawn from one
-        ``default_rng(seed)``: ``poincare_hopf`` reads the first
-        POINCARE_HOPF_ORDERS, ``intermediate`` the next INTERMEDIATE_ORDERS
-        and ``stability`` the rest, its walk's start last, so no suite
-        re-checks another's orders."""
+    def orders(self):
+        """The graph's one stream of random orders, the rows of one numpy
+        array drawn from one ``default_rng(seed)``: ``poincare_hopf`` reads
+        the first POINCARE_HOPF_ORDERS, ``intermediate`` the next
+        INTERMEDIATE_ORDERS and ``stability`` the rest, its walk's start
+        last, so no suite re-checks another's orders. Each suite converts
+        the rows it reads with ``tolist``, so its orders hold Python ints."""
         import numpy as np
         rng = np.random.default_rng(self.seed)
         count = POINCARE_HOPF_ORDERS + INTERMEDIATE_ORDERS + STABILITY_ORDERS + 1
-        # One call shuffles each row in turn, drawing what ``count``
-        # ``random_order(n, rng)`` calls would. Converted row by row, so
-        # no list of all the rows is held beside the tuples.
-        rows = rng.permuted(np.tile(np.arange(self.G.n), (count, 1)), axis=1)
-        return tuple(tuple(row.tolist()) for row in rows)
+        # One call shuffles each row in turn, in place, drawing what
+        # ``count`` ``random_order(n, rng)`` calls would.
+        rows = np.tile(np.arange(self.G.n), (count, 1))
+        return rng.permuted(rows, axis=1, out=rows)
 
     @cached_property
     def fvec(self) -> FVector:
@@ -159,147 +153,110 @@ class GraphFacts:
         return table
 
 
-NamedFacts = tuple[str, GraphFacts]
-
 # The ok of a row whose check was skipped.
 SKIP = None
 
-
-def _rows(suite: str, graphs: Sequence[NamedFacts], check) -> list[CheckResult]:
-    """The rows of one suite, graph by graph.
-
-    ``check(F)`` yields one (suffix, ok, detail) per row of a graph's facts
-    F; the row is named by the graph's name plus ``suffix``; an ok of SKIP
-    marks a skipped check.
-    """
-    return [
-        CheckResult(suite, name + suffix, "SKIP" if ok is SKIP else "PASS" if ok else "FAIL", detail)
-        for name, F in graphs
-        for suffix, ok, detail in check(F)
-    ]
+# A suite's row of one graph: (suffix to the graph's name, ok, detail).
+Row = tuple[str, bool | None, str]
 
 
-def _vertex_rows(F: GraphFacts, degree_cap: int, mismatches, passed: str, failed: str, skipped: str):
-    """One row over the vertices of degree <= degree_cap, then one SKIP row
-    per vertex above it.
+def _vertex_rows(F: GraphFacts, mismatches, passed: str, failed: str, skipped: str) -> list[Row]:
+    """One row over the vertices of degree <= F.degree_cap, then one SKIP
+    row per vertex above it.
 
-    ``mismatches(F, x)`` lists the failures at vertex x. The row's detail is
+    ``mismatches(x)`` lists the failures at vertex x. The row's detail is
     ``passed`` and the count of vertices checked, or ``failed`` and the first
     five failures; a SKIP row names the ``skipped`` enumeration.
     """
-    G = F.G
-    over = [x for x in range(G.n) if G.degree(x) > degree_cap]
-    bad = [m for x in range(G.n) if G.degree(x) <= degree_cap for m in mismatches(F, x)]
-    yield "", not bad, f"mismatch at {failed} {bad[:5]}" if bad else f"{passed}{G.n - len(over)}/{G.n} vertices"
-    for x in over:
-        yield f":v{x}", SKIP, f"degree {G.degree(x)} above cap {degree_cap}, {skipped} enumeration skipped"
+    G, cap = F.G, F.degree_cap
+    over = [x for x in range(G.n) if G.degree(x) > cap]
+    bad = [m for x in range(G.n) if G.degree(x) <= cap for m in mismatches(x)]
+    rows = [("", not bad, f"mismatch at {failed} {bad[:5]}" if bad else f"{passed}{G.n - len(over)}/{G.n} vertices")]
+    rows += [(f":v{x}", SKIP, f"degree {G.degree(x)} above cap {cap}, {skipped} enumeration skipped") for x in over]
+    return rows
 
 
-def gauss_bonnet_suite(graphs: Sequence[NamedFacts]) -> list[CheckResult]:
+def gauss_bonnet_suite(F: GraphFacts) -> list[Row]:
     """Total curvature equals the clique-route Euler characteristic."""
-    def check(F):
-        c = gauss_bonnet_check(F.curvatures, F.fvec)
-        yield "", c.equal, f"sum K = {c.lhs}, chi = {c.rhs}"
-
-    return _rows("gauss_bonnet", graphs, check)
+    c = gauss_bonnet_check(F.curvatures, F.fvec)
+    return [("", c.equal, f"sum K = {c.lhs}, chi = {c.rhs}")]
 
 
-def poincare_hopf_suite(graphs: Sequence[NamedFacts]) -> list[CheckResult]:
+def poincare_hopf_suite(F: GraphFacts) -> list[Row]:
     """Index sums of random orders all equal the clique-route chi."""
-    def check(F):
-        chi = euler_characteristic(F.fvec)
-        sums = {F.calc.index_sum(order) for order in F.orders[:POINCARE_HOPF_ORDERS]}
-        yield "", sums == {chi}, f"chi = {chi}, index sums over {POINCARE_HOPF_ORDERS} orders = {sorted(sums)}"
-
-    return _rows("poincare_hopf", graphs, check)
+    chi = euler_characteristic(F.fvec)
+    sums = {F.calc.index_sum(order.tolist()) for order in F.orders[:POINCARE_HOPF_ORDERS]}
+    return [("", sums == {chi}, f"chi = {chi}, index sums over {POINCARE_HOPF_ORDERS} orders = {sorted(sums)}")]
 
 
-def transfer_suite(graphs: Sequence[NamedFacts]) -> list[CheckResult]:
+def transfer_suite(F: GraphFacts) -> list[Row]:
     """sum_x V_{k-1}(x) = (k+1) v_k for every k."""
-    def check(F):
-        checks = transfer_checks(F.sphere_fvecs, F.fvec)
-        bad = [c.k for c in checks if not c.equal]
-        yield "", not bad, f"failed at k = {bad}" if bad else f"{len(checks)} k values"
-
-    return _rows("transfer", graphs, check)
+    checks = transfer_checks(F.sphere_fvecs, F.fvec)
+    bad = [c.k for c in checks if not c.equal]
+    return [("", not bad, f"failed at k = {bad}" if bad else f"{len(checks)} k values")]
 
 
-def intermediate_suite(graphs: Sequence[NamedFacts]) -> list[CheckResult]:
+def intermediate_suite(F: GraphFacts) -> list[Row]:
     """sum_x W_k(x) = k v_{k+1} for random orders."""
-    def check(F):
-        orders = F.orders[POINCARE_HOPF_ORDERS:POINCARE_HOPF_ORDERS + INTERMEDIATE_ORDERS]
-        bad = [c for order in orders for c in F.calc.intermediate_checks(order, F.fvec) if not c.equal]
-        yield "", not bad, f"failed rows: {bad[:3]}" if bad else f"{INTERMEDIATE_ORDERS} orders"
-
-    return _rows("intermediate", graphs, check)
+    orders = F.orders[POINCARE_HOPF_ORDERS:POINCARE_HOPF_ORDERS + INTERMEDIATE_ORDERS]
+    bad = [c for order in orders for c in F.calc.intermediate_checks(order.tolist(), F.fvec) if not c.equal]
+    return [("", not bad, f"failed rows: {bad[:3]}" if bad else f"{INTERMEDIATE_ORDERS} orders")]
 
 
-def stability_suite(graphs: Sequence[NamedFacts]) -> list[CheckResult]:
+def stability_suite(F: GraphFacts) -> list[Row]:
     """Index sum constant across random orders and a transposition walk."""
-    def check(F):
-        *orders, start = F.orders[POINCARE_HOPF_ORDERS + INTERMEDIATE_ORDERS:]
-        ok = verify_index_stability(F.calc, orders, start)
-        yield "", ok, f"{STABILITY_ORDERS} orders + walk"
-
-    return _rows("stability", graphs, check)
+    *orders, start = F.orders[POINCARE_HOPF_ORDERS + INTERMEDIATE_ORDERS:].tolist()
+    return [("", verify_index_stability(F.calc, orders, start), f"{STABILITY_ORDERS} orders + walk")]
 
 
-def expectation_suite(graphs: Sequence[NamedFacts], degree_cap: int = 16) -> list[CheckResult]:
+def expectation_suite(F: GraphFacts) -> list[Row]:
     """The subset dynamic program's E[i_f(x)] equals curvature at every
     vertex under the cap, and its chi sums equal their closed form."""
-    def mismatches(F, x):
+    def mismatches(x):
         chi = F.subset_sums(x)[0]
         closed = tuple(sum(-c if k % 2 else c for k, c in enumerate(row)) for row in F.closed_form_counts(x))
         return [] if expected_index(chi) == F.curvatures[x] and chi == closed else [x]
 
-    return _rows("expectation", graphs, lambda F: _vertex_rows(
-        F, degree_cap, mismatches, "E[i] = K at ", "vertices", "2^degree"))
+    return _vertex_rows(F, mismatches, "E[i] = K at ", "vertices", "2^degree")
 
 
-def averaging_suite(graphs: Sequence[NamedFacts], degree_cap: int = 16) -> list[CheckResult]:
+def averaging_suite(F: GraphFacts) -> list[Row]:
     """E[V_k^-(x)] = V_k(x)/(k+2) at every vertex under the cap, and every
     entry of the clique-count table equals its closed form."""
-    def mismatches(F, x):
+    def mismatches(x):
         counts = F.subset_sums(x)[1]
         means = averaging_checks(counts)
         got, want = list(zip(*counts)), list(zip(*F.closed_form_counts(x)))
         return [(x, k) for k in range(max(len(got), len(want)))
                 if got[k:k + 1] != want[k:k + 1] or not means[k].equal]
 
-    return _rows("averaging", graphs, lambda F: _vertex_rows(
-        F, degree_cap, mismatches, "", "(vertex, k)", "subset"))
+    return _vertex_rows(F, mismatches, "", "(vertex, k)", "subset")
 
 
-def percolation_suite(graphs: Sequence[NamedFacts], seed: int = DEFAULT_SEED) -> list[CheckResult]:
+def percolation_suite(F: GraphFacts) -> list[Row]:
     """Exact survival integrals, plus a short Monte Carlo sanity run.
 
     For every k <= PERCOLATION_MAX_K with v_k > 0 the polynomial route must
     integrate to v_k/(exponent+1) in both modes; its coefficient counts the
     Monte Carlo engine's event lists, built from one host listing per k, so
     this checks them against count_cliques. One modest site run at k=1 is
-    checked against 1/3 within six standard errors; every graph's run reads
-    the same trial rows, drawn once in one ``shared_draws`` block.
+    checked against 1/3 within six standard errors; inside ``run_suites``
+    every graph's run reads the same trial rows, drawn once.
     """
-    def check(F):
-        G, fvec = F.G, F.fvec
-        bad = []
-        for k in range(min(PERCOLATION_MAX_K + 1, len(fvec))):
-            hosts = cliques_of_size(G, k + 1)
-            for mode in ("site", "bond"):
-                poly = exact_survival_polynomial(G, k, mode, hosts=hosts)
-                e = survival_exponent(k, mode)
-                if poly.integral() != Fraction(fvec[k], e + 1):
-                    bad.append((k, mode))
-                if Fraction(poly.integral(), fvec[k]) != Fraction(1, e + 1):
-                    bad.append((k, mode, "host dependence"))
-        yield ":exact", not bad, "integrals match" if not bad else f"failed: {bad[:4]}"
-        if len(fvec) > 1 and fvec[1] > 0:
-            s = clique_survival_integral(G, 1, PERCOLATION_TRIALS, seed=seed, mode="site").summary
-            ok = s.stderr is not None and abs(s.estimate - 1 / 3) <= 6 * s.stderr
-            yield ":mc", ok, f"estimate {s.estimate:.4f} vs 1/3, stderr {s.stderr:.4f}"
-
-    with shared_draws():
-        return _rows("percolation", graphs, check)
+    G, fvec = F.G, F.fvec
+    bad = []
+    for k in range(min(PERCOLATION_MAX_K + 1, len(fvec))):
+        hosts = cliques_of_size(G, k + 1)
+        for mode in ("site", "bond"):
+            poly = exact_survival_polynomial(G, k, mode, hosts=hosts)
+            if poly.integral() != Fraction(fvec[k], survival_exponent(k, mode) + 1):
+                bad.append((k, mode))
+    rows = [(":exact", not bad, "integrals match" if not bad else f"failed: {bad[:4]}")]
+    if len(fvec) > 1 and fvec[1] > 0:
+        s = clique_survival_integral(G, 1, PERCOLATION_TRIALS, seed=F.seed, mode="site").summary
+        ok = s.stderr is not None and abs(s.estimate - 1 / 3) <= 6 * s.stderr
+        rows.append((":mc", ok, f"estimate {s.estimate:.4f} vs 1/3, stderr {s.stderr:.4f}"))
+    return rows
 
 
 def run_suites(
@@ -308,22 +265,30 @@ def run_suites(
     seed: int = DEFAULT_SEED,
     degree_cap: int = 16,
 ) -> list[CheckResult]:
-    """Every suite's rows, the suites in the order given.
+    """Every suite's rows, the suites in the order given, each row named by
+    its graph's name and the row's suffix.
 
-    The suites share one ``GraphFacts`` per graph, and the graphs one
-    table of closed forms, all dropped on return.
+    Every suite name is checked before any suite runs. The suites share
+    one ``GraphFacts`` per graph, the graphs one table of closed forms and,
+    in one ``shared_draws`` block, one drawing of the percolation trials;
+    all are dropped on return.
     """
-    options = {"seed": seed, "degree_cap": degree_cap}
-    closed_forms: dict = {}
-    facts = [(name, GraphFacts(G, suites, seed, closed_forms)) for name, G in graphs]
-    results: list[CheckResult] = []
     for suite in suites:
-        if suite not in _SUITE_OPTIONS:
+        if suite not in SUITES:
             raise ValueError(f"unknown suite {suite!r}, expected one of {SUITES + ('all',)}")
-        # Looked up when it runs, so a suite replaced on this module (as
-        # perfbench's tracer does) is the one called.
-        run = globals()[f"{suite}_suite"]
-        results.extend(run(facts, **{name: options[name] for name in _SUITE_OPTIONS[suite]}))
+    closed_forms: dict = {}
+    facts = [(name, GraphFacts(G, suites, seed, degree_cap, closed_forms)) for name, G in graphs]
+    results: list[CheckResult] = []
+    with shared_draws():
+        for suite in suites:
+            # Suite by suite, each over every graph: graph by graph gave the
+            # same rows but timed the corpus run 0.281 -> 0.307 s (slower in 6
+            # of 6 pairs, 2-CPU VM), though each suite alone timed the same.
+            # Looked up when it runs, so a suite replaced on this module (as
+            # perfbench's tracer does) is the one called.
+            check = globals()[f"{suite}_suite"]
+            results.extend(CheckResult(suite, name + suffix, "SKIP" if ok is SKIP else "PASS" if ok else "FAIL",
+                                       detail) for name, F in facts for suffix, ok, detail in check(F))
     return results
 
 

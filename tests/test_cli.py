@@ -432,7 +432,7 @@ FAULTS = {
     "averaging": ("verify", "clique_counts_by_subset_size", _table_off_at_vertex_3,
                   "octahedron", r"mismatch at \(vertex, k\) \[\(3, 0\)\]$"),
     "percolation": ("verify", "count_cliques", lambda fn: _off_by_one(fn, 1),
-                    "octahedron:exact", r"failed: \[\(1, 'site'\), \(1, 'site', 'host dependence'\)"),
+                    "octahedron:exact", r"failed: \[\(1, 'site'\), \(1, 'bond'\)\]$"),
 }
 
 
@@ -462,8 +462,8 @@ class TestVerifyFailures:
         assert [(r["name"], r["detail"]) for r in failed] == [("octahedron", "50 orders + walk")]
 
     @pytest.mark.parametrize("fault, detail", [
-        (_drop_first_host, r"failed: \[\(0, 'site'\), \(0, 'site', 'host dependence'\), \(0, 'bond'\)"),
-        (_repeat_first_event, r"failed: \[\(1, 'site'\), \(1, 'site', 'host dependence'\), \(2, 'site'\)"),
+        (_drop_first_host, r"failed: \[\(0, 'site'\), \(0, 'bond'\), \(1, 'site'\), \(1, 'bond'\)\]$"),
+        (_repeat_first_event, r"failed: \[\(1, 'site'\), \(2, 'site'\), \(2, 'bond'\)\]$"),
     ], ids=["drop_host", "repeat_event"])
     def test_exact_row_checks_the_engine_events(self, capsys, monkeypatch, fault, detail):
         """The :exact row counts the engine's own event lists against count_cliques."""

@@ -1,6 +1,7 @@
 """run_suites computes each graph's shared facts once per run."""
 
 import sys
+import tracemalloc
 from collections import Counter
 from math import comb
 
@@ -156,8 +157,24 @@ def test_orders_are_the_draws_of_random_order(n):
     count = verify.POINCARE_HOPF_ORDERS + verify.INTERMEDIATE_ORDERS + verify.STABILITY_ORDERS + 1
     rng = np.random.default_rng(11)
     expected = tuple(morse.random_order(n, rng) for _ in range(count))
-    assert verify.GraphFacts(Graph.from_edges(n, []), verify.SUITES, 11).orders == expected
+    orders = verify.GraphFacts(Graph.from_edges(n, []), verify.SUITES, 11, 16, {}).orders
+    assert tuple(map(tuple, orders.tolist())) == expected
     assert count == 76 and (n < 2 or len(set(expected)) > 1)
+
+
+def test_orders_of_20000_vertices_stay_one_array():
+    """The 76 orders are one int64 array permuted in place, 11.6 MiB at
+    n = 20,000, held and at their peak; as tuples of Python ints they held
+    60 MB."""
+    F = verify.GraphFacts(Graph.from_edges(20_000, []), verify.SUITES, 11, 16, {})
+    tracemalloc.start()
+    try:
+        orders = F.orders
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert orders.shape == (76, 20_000)
+    assert held < 16 * 2**20 and peak < 16 * 2**20, (held, peak)
 
 
 def _facts_of_run(monkeypatch) -> list:
@@ -231,10 +248,15 @@ def test_every_memo_entry_after_a_dense_verify_run_is_exact(monkeypatch):
             assert counts == (cliques.count_cliques_in_mask(masks, side) + (0,) * len(total))[:len(total)], (x, side)
 
 
-def test_unknown_suite_is_named():
+def test_unknown_suite_is_named(monkeypatch):
+    """Every suite name is checked before the first suite runs."""
+    called = []
+    for suite in verify.SUITES:
+        monkeypatch.setattr(verify, f"{suite}_suite", lambda F, suite=suite: called.append(suite) or [])
     with pytest.raises(ValueError) as excinfo:
         run_suites(GRAPHS[:1], suites=("gauss_bonnet", "curvature"))
     assert str(excinfo.value) == f"unknown suite 'curvature', expected one of {verify.SUITES + ('all',)}"
+    assert called == []
 
 
 def test_er_corpus_past_its_size_is_refused():
