@@ -220,6 +220,21 @@ MUTANTS = (
         ("tests/test_verify.py::test_unknown_suite_is_named",),
     ),
     Mutant(
+        "local_masks_drop_each_first_row_entry",
+        "src/graphcurvature/graphs.py",
+        "        for w in rows[u]:\n",
+        "        for w in rows[u][1:]:\n",
+        ("tests/test_graphs.py::TestUnitSphere::test_sphere_masks_match_unit_sphere",
+         "tests/test_cliques.py::TestCountCliques::test_brute_force_oracle_er_graphs"),
+    ),
+    Mutant(
+        "stability_orders_streamed_unchecked",
+        "src/graphcurvature/morse.py",
+        "calc.index_sum(validate_order(order, n)) != chi for order in orders",
+        "calc.index_sum(order) != chi for order in orders",
+        ("tests/test_morse.py::TestStabilityWalk::test_orders_must_be_permutations",),
+    ),
+    Mutant(
         "every_standard_error_doubled",
         "src/graphcurvature/trials.py",
         "    return mean, (max(var, 0.0) / samples) ** 0.5\n",

@@ -53,7 +53,6 @@ from .morse import (
     IndexCalculator,
     IndexReport,
     VertexOrder,
-    all_orders,
     index_report,
     order_from_values,
     poincare_hopf_chi,
@@ -87,7 +86,6 @@ __all__ = [
     "SurvivalPolynomial",
     "TrialPlan",
     "VertexOrder",
-    "all_orders",
     "clique_survival_integral",
     "cliques_of_size",
     "complete_graph",

@@ -12,7 +12,9 @@ such level, not once per clique.
 One walk, ``_forward_walk``, serves the whole graph: per vertex v it gives
 v's forward neighbourhood F(v) (the neighbours above v) and F(v)'s
 adjacency as bitmasks at most deg(v) bits wide, so it needs O(n + m)
-memory and never builds the graph's n-bit ``adjacency_masks``.
+memory and never builds the graph's n-bit ``adjacency_masks``. Its masks
+come from ``graphs.local_masks``, the builder of the unit-sphere masks too,
+over the forward rows instead of the whole ones.
 ``count_cliques`` counts on it, under one work meter for all vertices;
 ``cliques_of_size`` lists one size on it as ascending vertex-id tuples.
 
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from math import inf
 from typing import Callable, Sequence
 
-from .graphs import Graph, unit_sphere
+from .graphs import Graph, local_masks, unit_sphere
 
 FVector = tuple[int, ...]
 
@@ -211,18 +213,8 @@ def _forward_walk(G: Graph, least: int):
     """
     forward = [nbrs[bisect_right(nbrs, v):] for v, nbrs in enumerate(G.adj)]
     for v, F in enumerate(forward):
-        if len(F) < least:
-            continue
-        bit = {u: 1 << i for i, u in enumerate(F)}
-        masks = []
-        for u in F:
-            m = 0
-            for w in forward[u]:
-                b = bit.get(w)
-                if b:
-                    m |= b
-            masks.append(m)
-        yield v, F, masks
+        if len(F) >= least:
+            yield v, F, local_masks(F, forward)
 
 
 def count_cliques(G: Graph, progress: Callable[[int], None] | None = None) -> FVector:

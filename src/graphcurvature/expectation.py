@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 from math import factorial
 from operator import mul
 from typing import TYPE_CHECKING, Sequence
@@ -24,7 +25,7 @@ from typing import TYPE_CHECKING, Sequence
 from .cliques import IdentityCheck, count_cliques_in_mask
 from .curvature import curvature
 from .graphs import Graph, sphere_masks
-from .morse import IndexCalculator, all_orders
+from .morse import IndexCalculator
 from .trials import TrialPlan, mean_and_stderr, sum_vectors
 
 if TYPE_CHECKING:
@@ -40,6 +41,9 @@ class DegreeCapError(ValueError):
 # Memory sets the lower limit used: the tables take about 13 bytes per
 # subset, so degree 24 needs about 220 MB and degree 30 would need 14 GB.
 MAX_SUBSET_DEGREE = 24
+
+# exact_expectation_by_permutations walks all n! orders: 40,320 at this cap.
+MAX_PERMUTATION_VERTICES = 8
 
 # Index values a Monte Carlo block holds before folding them into its moments,
 # so the rows kept per block stay small however many targets there are.
@@ -180,18 +184,18 @@ def expected_index(chi_sums: Sequence[int]) -> Fraction:
     return 1 - _uniform_rank_mean(chi_sums)
 
 
-def exact_expectation_by_permutations(G: Graph, max_n: int = 8) -> tuple[Fraction, ...]:
+def exact_expectation_by_permutations(G: Graph) -> tuple[Fraction, ...]:
     """E[i_f(x)] for every vertex by enumerating all n! rank permutations.
 
     Independent oracle for small graphs; shares no formula with
     exact_index_expectation beyond the definition of the index.
     """
-    if G.n > max_n:
-        raise ValueError(f"graph has {G.n} vertices, above the {max_n} limit for n! enumeration")
+    if G.n > MAX_PERMUTATION_VERTICES:
+        raise ValueError(f"graph has {G.n} vertices, above the {MAX_PERMUTATION_VERTICES} limit for n! enumeration")
     calc = IndexCalculator(G)
     totals = [0] * G.n
     count = 0
-    for order in all_orders(G.n):
+    for order in permutations(range(G.n)):
         count += 1
         for x in range(G.n):
             totals[x] += calc.index(order, x)

@@ -54,7 +54,7 @@ class Graph:
     and ``induced_subgraph`` build rows that hold the invariants by
     construction and skip these checks.
     ``neighbor_sets`` is built only when first needed, by ``has_edge`` or
-    the stability walk.
+    by the symmetry check on rows given as lists.
     """
 
     n: int
@@ -204,23 +204,28 @@ def unit_sphere(G: Graph, x: int) -> tuple[Graph, VertexSet]:
     return induced_subgraph(G, members), members
 
 
+def local_masks(members: Sequence[int], rows: Sequence[Sequence[int]]) -> list[int]:
+    """Bitmasks over the positions of ``members``: bit i of entry j is set
+    when ``members[i]`` is in ``rows[members[j]]``."""
+    bit = {u: 1 << i for i, u in enumerate(members)}
+    masks = []
+    for u in members:
+        m = 0
+        for w in rows[u]:
+            b = bit.get(w)
+            if b:
+                m |= b
+        masks.append(m)
+    return masks
+
+
 def sphere_masks(G: Graph, x: int) -> tuple[int, ...]:
     """Adjacency of S(x) as bitmasks over the neighbor positions of x.
 
     Position i is the i-th neighbor of x in ascending id order, which is
     local id i of ``unit_sphere(G, x)``.
     """
-    nbrs = G.adj[G._check_vertex(x)]
-    pos = {u: i for i, u in enumerate(nbrs)}
-    masks = []
-    for u in nbrs:
-        m = 0
-        for w in G.adj[u]:
-            j = pos.get(w)
-            if j is not None:
-                m |= 1 << j
-        masks.append(m)
-    return tuple(masks)
+    return tuple(local_masks(G.adj[G._check_vertex(x)], G.adj))
 
 
 # ---------------------------------------------------------------------------

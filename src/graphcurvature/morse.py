@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .cliques import FVector, IdentityCheck, chi_in_mask, count_cliques_in_mask
 from .graphs import Graph, sphere_masks
@@ -60,13 +60,6 @@ def order_from_values(values: Sequence) -> VertexOrder:
     for rank, v in enumerate(by_value):
         order[v] = rank
     return tuple(order)
-
-
-def all_orders(n: int) -> Iterator[VertexOrder]:
-    """All n! rank permutations, for exhaustive checks on small graphs."""
-    import itertools
-
-    return itertools.permutations(range(n))
 
 
 def poincare_hopf_chi(G: Graph, order: Sequence[int],
@@ -271,7 +264,7 @@ def walk_index_sums(calc: IndexCalculator, start: Sequence[int]) -> Iterator[int
         raise ValueError("the swaps do not end at the reversal of the start order")
 
 
-def verify_index_stability(calc: IndexCalculator, orders: Sequence[Sequence[int]],
+def verify_index_stability(calc: IndexCalculator, orders: Iterable[Sequence[int]],
                            start: Sequence[int]) -> bool:
     """Index sums of ``calc.G`` agree across ``orders`` and along a transposition walk.
 
@@ -281,14 +274,15 @@ def verify_index_stability(calc: IndexCalculator, orders: Sequence[Sequence[int]
     scratch in ``orders`` and at both ends of the walk; the walk replays
     only its m swaps of neighbours (``walk_index_sums``), so it costs
     O(n + m) index work. The check shares ``calc``'s chi memo with the
-    caller. Raises ValueError if an order is not a permutation of the
-    vertices.
+    caller. ``orders`` is read one order at a time, and the check stops at
+    the first whose sum is not chi. Raises ValueError if ``start`` is not a
+    permutation of the vertices, or when the check reaches an order of
+    ``orders`` that is not.
     """
     n = calc.G.n
-    orders = [validate_order(order, n) for order in orders]
     start = validate_order(start, n)
     chi = calc.index_sum(tuple(range(n)))
-    if any(calc.index_sum(order) != chi for order in orders):
+    if any(calc.index_sum(validate_order(order, n)) != chi for order in orders):
         return False
     try:
         if any(total != chi for total in walk_index_sums(calc, start)):

@@ -16,9 +16,9 @@ fresh per trial unless a fixed p is requested. Passes inside one
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
@@ -27,8 +27,6 @@ from .graphs import Graph
 from .trials import DEFAULT_SEED, TrialPlan, mean_and_stderr, sum_vectors
 
 if TYPE_CHECKING:
-    from contextvars import ContextVar
-
     import numpy as np
 
 MODES = ("site", "bond")
@@ -178,14 +176,8 @@ def _survival_pass(G: Graph, k: int, trials: int, seed: int, mode: str, workers:
     return summaries, rows
 
 
-@lru_cache(maxsize=None)
-def _kept_rows() -> ContextVar:
-    """The rows the current ``shared_draws`` block keeps, unset outside one.
-
-    Made on first use, so that importing this module imports nothing more.
-    """
-    from contextvars import ContextVar
-    return ContextVar("graphcurvature.percolation.kept_rows")
+# The rows the current ``shared_draws`` block keeps, unset outside one.
+_KEPT_ROWS: ContextVar[dict] = ContextVar("graphcurvature.percolation.kept_rows")
 
 
 @contextmanager
@@ -199,12 +191,11 @@ def shared_draws() -> Iterator[None]:
     _SHARED_CELLS is kept, the latest one only, and nothing outlives the
     block.
     """
-    kept = _kept_rows()
-    token = kept.set({})
+    token = _KEPT_ROWS.set({})
     try:
         yield
     finally:
-        kept.reset(token)
+        _KEPT_ROWS.reset(token)
 
 
 def _trial_rows(plan: TrialPlan, width: int, block: int) -> Callable[[int, int], np.ndarray]:
@@ -228,7 +219,7 @@ def _trial_rows(plan: TrialPlan, width: int, block: int) -> Callable[[int, int],
                 plan.trial_rng(lo + i).random(out=buffer[i])
             return buffer[:size]
         return fill
-    kept = _kept_rows().get({})  # outside a shared_draws block, kept for this pass only
+    kept = _KEPT_ROWS.get({})  # outside a shared_draws block, kept for this pass only
     key = (plan.master_seed, plan.samples)
     drawn = kept.get(key)
     if drawn is None or drawn.shape[1] < width:

@@ -115,15 +115,10 @@ class GraphFacts:
 
     @cached_property
     def curvatures(self) -> tuple[Fraction, ...]:
-        """K(x) at every vertex, by ``curvature``."""
+        """K(x) at every vertex, by ``curvature``, which counts the spheres
+        on a route of its own, ``vertex_clique_degrees``; the other suites
+        read the sphere f-vectors from the calculator's ``sphere_fvec``."""
         return tuple(curvature(self.G, x) for x in range(self.G.n))
-
-    @cached_property
-    def sphere_fvecs(self) -> tuple[FVector, ...]:
-        """The f-vector of every unit sphere, by the calculator's
-        ``sphere_fvec``; ``curvatures`` counts the spheres on a route of
-        its own, ``vertex_clique_degrees``."""
-        return tuple(self.calc.sphere_fvec(x) for x in range(self.G.n))
 
     def subset_sums(self, x: int) -> tuple:
         """``chi_by_subset_size`` and ``clique_counts_by_subset_size`` at x,
@@ -141,9 +136,9 @@ class GraphFacts:
 
     def closed_form_counts(self, x: int) -> tuple[tuple[int, ...], ...]:
         """Entry [m][k]: V_k(x) C(d-k-1, m-k-1), as each (k+1)-clique of the
-        sphere lies in that many of its m-subsets; V from ``sphere_fvecs``,
-        the table built once per (V, d) in ``closed_forms``."""
-        V, d = self.sphere_fvecs[x], self.G.degree(x)
+        sphere lies in that many of its m-subsets; V from the calculator's
+        ``sphere_fvec``, the table built once per (V, d) in ``closed_forms``."""
+        V, d = self.calc.sphere_fvec(x), self.G.degree(x)
         key = (V, d)
         table = self.closed_forms.get(key)
         if table is None:
@@ -191,7 +186,7 @@ def poincare_hopf_suite(F: GraphFacts) -> list[Row]:
 
 def transfer_suite(F: GraphFacts) -> list[Row]:
     """sum_x V_{k-1}(x) = (k+1) v_k for every k."""
-    checks = transfer_checks(F.sphere_fvecs, F.fvec)
+    checks = transfer_checks([F.calc.sphere_fvec(x) for x in range(F.G.n)], F.fvec)
     bad = [c.k for c in checks if not c.equal]
     return [("", not bad, f"failed at k = {bad}" if bad else f"{len(checks)} k values")]
 
@@ -205,8 +200,9 @@ def intermediate_suite(F: GraphFacts) -> list[Row]:
 
 def stability_suite(F: GraphFacts) -> list[Row]:
     """Index sum constant across random orders and a transposition walk."""
-    *orders, start = F.orders[POINCARE_HOPF_ORDERS + INTERMEDIATE_ORDERS:].tolist()
-    return [("", verify_index_stability(F.calc, orders, start), f"{STABILITY_ORDERS} orders + walk")]
+    *orders, start = F.orders[POINCARE_HOPF_ORDERS + INTERMEDIATE_ORDERS:]
+    ok = verify_index_stability(F.calc, (order.tolist() for order in orders), start.tolist())
+    return [("", ok, f"{STABILITY_ORDERS} orders + walk")]
 
 
 def expectation_suite(F: GraphFacts) -> list[Row]:

@@ -192,6 +192,7 @@ class TestIndex:
         ("0 1\n1 2 3", "line 2: expected 'vertex value', got '1 2 3'"),
         ("x 1", "line 1: non-integer vertex 'x'"),
         ("0 1\n1 x", "line 2: value 'x' is not an integer, decimal or fraction p/q"),
+        ("# values\n\n0 1\n1 x", "line 4: value 'x' is not an integer, decimal or fraction p/q"),
         ("0 1  # c\n1 1/0", "line 2: value '1/0' has a zero denominator"),
         ("0 1\n0 2", "line 2: vertex 0 assigned twice"),
         ("0 1\n1 1e5000", "line 2: value '1e5000' has a decimal exponent over 4300 in magnitude"),

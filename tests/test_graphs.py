@@ -70,6 +70,8 @@ class TestValidation:
         (3, ((1,), (), (-1,)), "neighbor -1 of vertex 2 out of range"),
         (3, ((1,), (), (1, 0)), "adjacency of vertex 2 not strictly sorted"),
         (3, ((1,), (), (1, 1)), "adjacency of vertex 2 not strictly sorted"),
+        # the row count is checked before any row
+        (3, ((1,), (0,)), "adjacency has 2 rows for n=3"),
     ])
     def test_rejection_names_the_first_fault(self, n, adj, message):
         with pytest.raises(ValueError) as excinfo:
@@ -443,10 +445,11 @@ class TestGenerators:
         (lambda: path_graph(0), "path needs n >= 1, got 0"),
         (lambda: complete_graph(0), "complete graph needs n >= 1, got 0"),
         (lambda: star_graph(1), "star needs n >= 2, got 1"),
+        (lambda: random_tree(0, seed=0), "tree needs n >= 1, got 0"),
         (lambda: erdos_renyi(5, -0.1, seed=0), "edge probability must be in [0, 1], got -0.1"),
         (lambda: erdos_renyi(5, 1.5, seed=0), "edge probability must be in [0, 1], got 1.5"),
         (lambda: erdos_renyi(5, float("nan"), seed=0), "edge probability must be in [0, 1], got nan"),
-    ], ids=["path", "complete", "star", "er_q_below", "er_q_above", "er_q_nan"])
+    ], ids=["path", "complete", "star", "tree", "er_q_below", "er_q_above", "er_q_nan"])
     def test_parameter_below_its_bound_error_text(self, build, message):
         with pytest.raises(ValueError) as excinfo:
             build()

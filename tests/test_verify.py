@@ -177,6 +177,22 @@ def test_orders_of_20000_vertices_stay_one_array():
     assert held < 16 * 2**20 and peak < 16 * 2**20, (held, peak)
 
 
+def test_stability_suite_on_20000_vertices_reads_one_order_at_a_time():
+    """The suite converts, checks and sums one order row at a time, so on
+    n = 20,000, with the orders and the calculator built, it peaks under
+    8 MiB; all 51 rows as lists and 50 as tuples at once peaked at 50.7 MiB."""
+    F = verify.GraphFacts(Graph.from_edges(20_000, []), verify.SUITES, 11, 16, {})
+    F.orders, F.calc
+    tracemalloc.start()
+    try:
+        rows = verify.stability_suite(F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == [("", True, f"{verify.STABILITY_ORDERS} orders + walk")]
+    assert peak < 8 * 2**20, peak
+
+
 def _facts_of_run(monkeypatch) -> list:
     """The GraphFacts of the runs made while ``monkeypatch`` holds, kept past their run."""
     facts = []
