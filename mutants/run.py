@@ -94,7 +94,15 @@ MUTANTS = (
         "chi = self._chi_cache[x].get(mask & (mask - 1))\n",
         ("tests/test_morse.py::TestIndex::test_calculator_matches_plain_index",
          "tests/test_morse.py::TestStabilityWalk::test_stability",
-         "tests/test_expectation.py::TestEngineAgainstReference::test_estimate_and_stderr[icosahedron-all-150]"),
+         "tests/test_expectation.py::TestEngineAgainstReference::test_estimate_and_stderr[icosahedron-150]"),
+    ),
+    Mutant(
+        "empty_exit_set_read_as_index_zero",
+        "src/graphcurvature/morse.py",
+        "        if not mask:\n            return 1\n",
+        "        if not mask:\n            return 0\n",
+        ("tests/test_morse.py::TestIndex::test_calculator_matches_plain_index",
+         "tests/test_expectation.py::TestEngineAgainstReference::test_estimate_and_stderr[icosahedron-150]"),
     ),
     Mutant(
         "walk_takes_upper_neighbours_in_id_order",
@@ -171,6 +179,15 @@ MUTANTS = (
          "tests/test_percolation.py::TestEngineAgainstReference::test_summary_and_rows[icosahedron-site-None]"),
     ),
     Mutant(
+        "kept_rows_drawn_at_the_first_width",
+        "src/graphcurvature/percolation.py",
+        "        drawn = draw(0, np.empty((plan.samples, cells)))\n",
+        "        drawn = draw(0, np.empty((plan.samples, width)))\n",
+        ("tests/test_percolation.py::TestSharedDraws::test_passes_in_one_scope_equal_standalone_calls",
+         "tests/test_percolation.py::TestSharedDraws::test_corpus_summaries_equal_the_reference[tree_n20_s0]",
+         "tests/test_verify.py::test_percolation_draws_each_trial_once_per_run"),
+    ),
+    Mutant(
         "link_memo_stores_one_minus_chi",
         "src/graphcurvature/cliques.py",
         "                memo[link] = link_chi\n",
@@ -226,6 +243,13 @@ MUTANTS = (
         "        for w in rows[u][1:]:\n",
         ("tests/test_graphs.py::TestUnitSphere::test_sphere_masks_match_unit_sphere",
          "tests/test_cliques.py::TestCountCliques::test_brute_force_oracle_er_graphs"),
+    ),
+    Mutant(
+        "graph_rows_never_compared_with_their_transpose",
+        "src/graphcurvature/graphs.py",
+        "        if tuple(map(tuple, rows)) != adj:\n",
+        "        if False:\n",
+        ("tests/test_graphs.py::TestValidation::test_asymmetric_adjacency_rejected",),
     ),
     Mutant(
         "stability_orders_streamed_unchecked",

@@ -267,37 +267,30 @@ class ExpectationReport:
     rows: tuple[ExpectationRow, ...]
 
 
-def mc_index_expectation(
-    G: Graph,
-    plan: TrialPlan,
-    vertices: Sequence[int] | None = None,
-) -> ExpectationReport:
+def mc_index_expectation(G: Graph, plan: TrialPlan) -> ExpectationReport:
     """Estimate E[i_f(x)] by sampling uniform rank permutations.
 
     Trial t shuffles the list 0..n-1 with its (master_seed, t) generator,
     which gives the ranks ``permutation(n)`` would, and evaluates one index
-    per target. The indices of a block of trials, ``_BLOCK_INDICES`` values
+    per vertex. The indices of a block of trials, ``_BLOCK_INDICES`` values
     at most, are folded into exact integer sums and sums of squares, so the
     report is byte-identical for any worker count, chunk or block size.
     Each row carries the sample mean, its standard error, and the curvature
     it should match.
     """
-    targets = tuple(range(G.n)) if vertices is None else tuple(vertices)
-    for x in targets:
-        G._check_vertex(x)
     index = IndexCalculator(G).index
-    nt = len(targets)
-    block = max(1, _BLOCK_INDICES // max(nt, 1))
-    identity = list(range(G.n))
+    vertices = tuple(range(G.n))
+    block = max(1, _BLOCK_INDICES // max(G.n, 1))
+    identity = list(vertices)
 
     def run_chunk(trials: range) -> tuple[int, ...]:
-        acc = [0] * (2 * nt)
+        acc = [0] * (2 * G.n)
         for lo in range(trials.start, trials.stop, block):
             rows = []
             for t in range(lo, min(lo + block, trials.stop)):
                 order = identity[:]
                 plan.trial_rng(t).shuffle(order)
-                rows.append([index(order, x) for x in targets])
+                rows.append([index(order, x) for x in vertices])
             for j, col in enumerate(zip(*rows)):
                 acc[2 * j] += sum(col)
                 acc[2 * j + 1] += sum(map(mul, col, col))
@@ -305,8 +298,8 @@ def mc_index_expectation(
 
     acc = plan.map_reduce(run_chunk, sum_vectors)
     rows = []
-    for j, x in enumerate(targets):
-        mean, se = mean_and_stderr(acc[2 * j], acc[2 * j + 1], plan.samples)
+    for x in vertices:
+        mean, se = mean_and_stderr(acc[2 * x], acc[2 * x + 1], plan.samples)
         rows.append(
             ExpectationRow(
                 vertex=x,

@@ -48,13 +48,13 @@ class Graph:
 
     Invariants: no self-loops, symmetric adjacency, all neighbor ids in
     ``[0, n)``, each adjacency tuple strictly increasing.  ``Graph(n, adj)``
-    checks them all; symmetry is checked by transposition: the rows
-    rebuilt from every entry ``u in adj[v]`` must equal ``adj``.  Rows
-    given as lists are stored as tuples once they pass.  ``from_edges``
-    and ``induced_subgraph`` build rows that hold the invariants by
-    construction and skip these checks.
+    turns the rows into tuples, so the graph is hashable and equal to the
+    same graph built from edges, then checks them all; symmetry is checked
+    by transposition: the rows rebuilt from every entry ``u in adj[v]``
+    must equal ``adj``.  ``from_edges`` and ``induced_subgraph`` build rows
+    that hold the invariants by construction and skip these checks.
     ``neighbor_sets`` is built only when first needed, by ``has_edge`` or
-    by the symmetry check on rows given as lists.
+    to name a one-sided edge.
     """
 
     n: int
@@ -63,12 +63,13 @@ class Graph:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError(f"vertex count must be >= 0, got {self.n}")
-        if len(self.adj) != self.n:
-            raise ValueError(f"adjacency has {len(self.adj)} rows for n={self.n}")
+        adj = tuple(map(tuple, self.adj))
+        if len(adj) != self.n:
+            raise ValueError(f"adjacency has {len(adj)} rows for n={self.n}")
         # rows is the transpose: v joins rows[u] for each u in adj[v], in
         # ascending v, so the adjacency is symmetric iff rows equals adj.
         rows: list[list[int]] = [[] for _ in range(self.n)]
-        for v, nbrs in enumerate(self.adj):
+        for v, nbrs in enumerate(adj):
             prev = -1
             for u in nbrs:
                 if u == v:
@@ -79,20 +80,13 @@ class Graph:
                     raise ValueError(f"adjacency of vertex {v} not strictly sorted")
                 prev = u
                 rows[u].append(v)
-        if list(map(tuple, rows)) == list(self.adj):
-            # A tuple never equals a list, so every row is already a tuple.
-            if not isinstance(self.adj, tuple):
-                object.__setattr__(self, "adj", tuple(self.adj))
-            return
-        # Not equal as tuples: find the first one-sided edge in row order
-        # (rows given as lists may still be symmetric).
-        for v, nbrs in enumerate(self.adj):
-            for u in nbrs:
-                if v not in self.neighbor_sets[u]:
-                    raise ValueError(f"asymmetric edge {v}-{u}")
-        # Symmetric rows given as lists: store tuples, so the graph stays
-        # immutable, hashable and equal to the same graph built from edges.
-        object.__setattr__(self, "adj", tuple(map(tuple, self.adj)))
+        object.__setattr__(self, "adj", adj)
+        if tuple(map(tuple, rows)) != adj:
+            # Name the first one-sided edge in row order.
+            for v, nbrs in enumerate(adj):
+                for u in nbrs:
+                    if v not in self.neighbor_sets[u]:
+                        raise ValueError(f"asymmetric edge {v}-{u}")
 
     @classmethod
     def _valid(cls, n: int, adj: tuple[tuple[int, ...], ...]) -> "Graph":

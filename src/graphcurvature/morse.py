@@ -113,16 +113,16 @@ class IndexCalculator:
     """Index engine that caches per-sphere structure across many orders.
 
     For each vertex the unit sphere is mapped onto bit positions once, and
-    the Euler characteristic of each exit subset is memoized by its bitmask,
-    so ``index``, i_f(x) = 1 - chi(S_f^-(x)), is cheap when evaluating
-    thousands of orders on the same graph. A memo miss takes chi from
-    ``chi_in_mask``, which lists no cliques: an exit set with a cone point
-    has chi 1, and any other is summed over its vertices' links, whose chis
-    it keeps in the same per-vertex memo, as each link is a sphere subset
-    too. The f-vectors come from ``count_cliques_in_mask`` on the same
-    masks: ``clique_split`` counts the cliques on each side of x, once per
-    (x, side mask), and each whole sphere is counted once per calculator
-    (``sphere_fvec``).
+    the Euler characteristic of each nonempty exit subset (the empty one
+    has chi 0) is memoized by its bitmask, so ``index``,
+    i_f(x) = 1 - chi(S_f^-(x)), is cheap when evaluating thousands of orders
+    on the same graph. A memo miss takes chi from ``chi_in_mask``, which lists no
+    cliques: an exit set with a cone point has chi 1, and any other is
+    summed over its vertices' links, whose chis it keeps in the same
+    per-vertex memo, as each link is a sphere subset too. The f-vectors come
+    from ``count_cliques_in_mask`` on the same masks: ``clique_split``
+    counts the cliques on each side of x, once per (x, side mask), and each
+    whole sphere is counted once per calculator (``sphere_fvec``).
     """
 
     def __init__(self, G: Graph):
@@ -146,6 +146,8 @@ class IndexCalculator:
         return m
 
     def chi_of_exit_mask(self, x: int, mask: int) -> int:
+        if not mask:
+            return 0
         cache = self._chi_cache[x]
         chi = cache.get(mask)
         if chi is None:
@@ -163,6 +165,8 @@ class IndexCalculator:
             if order[u] < rx:
                 mask |= bit
             bit <<= 1
+        if not mask:
+            return 1
         chi = self._chi_cache[x].get(mask)
         if chi is None:
             chi = self.chi_of_exit_mask(x, mask)

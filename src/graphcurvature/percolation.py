@@ -31,7 +31,7 @@ if TYPE_CHECKING:
 
 MODES = ("site", "bond")
 _BLOCK_BYTES = 1 << 18  # budget for one block's uniforms, gathered event uniforms and survival flags
-_SHARED_CELLS = 1 << 16  # uniforms a whole run may keep drawn (512 KiB), rows padded to 16
+_SHARED_CELLS = 1 << 16  # uniforms a whole run may keep drawn (512 KiB), as many for each trial
 
 
 def survival_exponent(k: int, mode: str) -> int:
@@ -51,9 +51,6 @@ class SurvivalPolynomial:
     mode: str
     coefficient: int
     exponent: int
-
-    def value(self, p):
-        return self.coefficient * p**self.exponent
 
     def integral(self) -> Fraction:
         """Integral over p in [0,1], the expected survivor count at uniform p."""
@@ -203,29 +200,28 @@ def _trial_rows(plan: TrialPlan, width: int, block: int) -> Callable[[int, int],
     of ``width`` per trial, at most ``block`` trials a call.
 
     Trial t's row is the first ``width`` uniforms of ``plan.trial_rng(t)``.
-    When every trial's row fits _SHARED_CELLS at ``width`` rounded up to a
-    multiple of 16, all rows are drawn at that width up front and each call
-    returns a read-only slice of them; in a ``shared_draws`` block a later
-    pass with the same seed, the same trial count and no wider rows slices
-    the same drawing. Otherwise each call refills one block buffer.
+    When ``width`` fits _SHARED_CELLS // samples columns, every trial's row
+    is drawn up front at that many columns and each call returns a
+    read-only slice of them; in a ``shared_draws`` block a later pass with
+    the same seed and trial count that fits them slices the same drawing.
+    Otherwise each call refills one block buffer.
     """
     import numpy as np
-    padded = -(-width // 16) * 16
-    if plan.samples * padded > _SHARED_CELLS:
-        buffer = np.empty((block, width))
 
-        def fill(lo: int, size: int) -> np.ndarray:
-            for i in range(size):
-                plan.trial_rng(lo + i).random(out=buffer[i])
-            return buffer[:size]
-        return fill
+    def draw(lo: int, rows: np.ndarray) -> np.ndarray:
+        for i, row in enumerate(rows):
+            plan.trial_rng(lo + i).random(out=row)
+        return rows
+
+    cells = _SHARED_CELLS // plan.samples
+    if width > cells:
+        buffer = np.empty((block, width))
+        return lambda lo, size: draw(lo, buffer[:size])
     kept = _KEPT_ROWS.get({})  # outside a shared_draws block, kept for this pass only
     key = (plan.master_seed, plan.samples)
     drawn = kept.get(key)
-    if drawn is None or drawn.shape[1] < width:
-        drawn = np.empty((plan.samples, padded))
-        for t in range(plan.samples):
-            plan.trial_rng(t).random(out=drawn[t])
+    if drawn is None:
+        drawn = draw(0, np.empty((plan.samples, cells)))
         drawn.flags.writeable = False
         kept.clear()
         kept[key] = drawn

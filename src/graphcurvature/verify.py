@@ -24,6 +24,7 @@ from math import comb
 from typing import Sequence
 
 from .cliques import FVector, cliques_of_size, count_cliques, euler_characteristic
+from .corpus import NamedGraph
 from .curvature import curvature, gauss_bonnet_check, transfer_checks
 from .expectation import (
     _subset_tables,
@@ -41,8 +42,6 @@ from .percolation import (
     survival_exponent,
 )
 from .trials import DEFAULT_SEED
-
-NamedGraph = tuple[str, Graph]
 
 POINCARE_HOPF_ORDERS = 20
 INTERMEDIATE_ORDERS = 5

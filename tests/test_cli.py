@@ -8,12 +8,13 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import graphcurvature
-from graphcurvature import expectation, morse, percolation, verify
+from graphcurvature import cli, expectation, morse, percolation, verify
 from graphcurvature.cli import dumps, main, parse_function_file
 from graphcurvature.cliques import MAX_CLIQUE_ENTRIES
 from graphcurvature.expectation import ExpectationRow
@@ -125,6 +126,13 @@ class TestChi:
     def test_human_output_has_timing(self, capsys):
         code, out = run_cli(capsys, "chi", "cycle:n=5")
         assert code == 0 and "chi = 0" in out and "ms" in out
+
+    def test_non_integer_total_curvature_is_a_verification_failure(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "curvature_field", lambda G, progress: SimpleNamespace(total=Fraction(1, 2)))
+        code = main(["chi", "cycle:n=5", "--method", "curvature"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "verification failure: total curvature 1/2 is not an integer\n"
 
     @pytest.mark.parametrize("text", ['{"n": 3.7, "edges": [[0, 1.9]]}', '{"n": 3, "edges": 5}'])
     def test_bad_json_graph_is_usage_error(self, capsys, tmp_path, text):
@@ -592,6 +600,14 @@ class TestBench:
         code, out = run_cli(capsys, "bench", "--n", "0", "--q", "0.5")
         assert code == 0 and len(out.strip().splitlines()) == 4
 
+    def test_disagreeing_routes_are_a_verification_failure(self, capsys, monkeypatch):
+        chi = morse.poincare_hopf_chi
+        monkeypatch.setattr(cli, "poincare_hopf_chi", lambda *args, **kwargs: chi(*args, **kwargs) + 1)
+        code = main(["bench", "--n", "10", "--q", "0.3"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("verification failure: chi routes disagree")
+
 
 class TestSeedEnv:
     def test_env_overrides_default(self, capsys, monkeypatch):
@@ -685,6 +701,13 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[1] == "0,1/4"
+
+    def test_closed_stdout_exits_zero(self, monkeypatch):
+        def closed(text):
+            raise BrokenPipeError
+
+        monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=closed))
+        assert main(["chi", "cycle:n=5"]) == 0
 
 
 # Lowers the child's own address-space limit, then runs the CLI in it. One

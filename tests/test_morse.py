@@ -176,10 +176,10 @@ class TestIndex:
 
 class TestChiMemo:
     """Memo work on fixed inputs. The calculator calls ``chi_in_mask`` once
-    per exit set its memo lacks (a miss), and ``chi_in_mask`` recurses once
-    per link the memo lacks; every call adds its set to the memo, so the
-    memo holds exactly one entry per call, each equal to the chi of the
-    set's clique counts."""
+    per nonempty exit set its memo lacks (a miss), and ``chi_in_mask``
+    recurses once per link the memo lacks; every call adds its set to the
+    memo, so the memo holds exactly one entry per call, each equal to the
+    chi of the set's clique counts."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -205,7 +205,7 @@ class TestChiMemo:
         sums = {calc.index_sum(random_order(G.n, rng)) for _ in range(50)}
         assert sums == {euler_characteristic(count_cliques(G))}
         misses, every = calls
-        assert (len(misses), len(every)) == (1615, 5066) and sum(map(len, calc._chi_cache)) == len(every)
+        assert (len(misses), len(every)) == (1582, 5033) and sum(map(len, calc._chi_cache)) == len(every)
         assert_chi_memo_exact(calc)
 
     def test_icosahedron_at_2000_samples(self, calls):
@@ -216,9 +216,17 @@ class TestChiMemo:
             report = mc_index_expectation(icosahedron(), TrialPlan(samples=2000, master_seed=3))
         assert len(report.rows) == 12
         misses, every = calls
-        # every exit set of all 12 vertices, 2^5 each, once; 11 of them first met as links
-        assert (len(misses), len(every)) == (373, 384) == (len(misses), sum(map(len, made[0]._chi_cache)))
+        # every nonempty exit set of all 12 vertices, 2^5 - 1 each, once; 11 of them first met as links
+        assert (len(misses), len(every)) == (361, 372) == (len(misses), sum(map(len, made[0]._chi_cache)))
         assert_chi_memo_exact(made[0])
+
+    def test_empty_exit_sets_are_not_kept(self, calls):
+        """Every exit set of an edgeless graph is empty, chi 0: one index sum
+        over 20,000 vertices calls ``chi_in_mask`` never and keeps nothing."""
+        calc = IndexCalculator(Graph.from_edges(20_000, []))
+        assert calc.index_sum(range(20_000)) == 20_000
+        assert calc.chi_of_exit_mask(0, 0) == 0
+        assert calls == ([], []) and sum(map(len, calc._chi_cache)) == 0
 
 
 def assert_chi_memo_exact(calc):

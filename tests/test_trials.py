@@ -148,14 +148,14 @@ class TestOneStreamPerTrial:
         assert seen == list(range(250)) * 2
 
     def test_passes_that_do_not_fit_draw_each_trial_each(self, seen):
-        """6000 rows of 13 uniforms, padded to 16, pass the budget."""
+        """6000 rows of 13 uniforms pass the budget."""
         with shared_draws():
             for mode in ("site", "site", "bond"):
                 clique_survival_integral(icosahedron(), 1, 6000, seed=4, mode=mode)
         assert seen == list(range(6000)) * 3
 
     def test_index_expectation(self, seen, monkeypatch):
-        """One generator per trial, in trial order, and one index call per target."""
+        """One generator per trial, in trial order, and one index call per vertex."""
         calls = []
         index = IndexCalculator.index
 
@@ -164,12 +164,9 @@ class TestOneStreamPerTrial:
             return index(calc, order, x)
 
         monkeypatch.setattr(IndexCalculator, "index", counted)
-        for vertices, targets in ((None, [0, 1, 2, 3, 4, 5]), ((5, 0, 5), [5, 0, 5])):
-            seen.clear()
-            calls.clear()
-            mc_index_expectation(octahedron(), TrialPlan(samples=333, master_seed=4), vertices=vertices)
-            assert seen == list(range(333))
-            assert calls == targets * 333
+        mc_index_expectation(octahedron(), TrialPlan(samples=333, master_seed=4))
+        assert seen == list(range(333))
+        assert calls == [0, 1, 2, 3, 4, 5] * 333
 
 
 class TestMeanStderr:

@@ -108,8 +108,9 @@ def test_one_host_listing_per_clique_size_in_the_exact_percolation_row(monkeypat
 
 def test_percolation_draws_each_trial_once_per_run(monkeypatch):
     """Every graph's Monte Carlo row reads the same trials' uniforms, drawn
-    once a run: the corpus's rows widen once, from 16 to 32 columns, so the
-    2000 trials are drawn twice, not once per graph with edges (65)."""
+    once a run: the corpus's rows, 3 to 31 uniforms, all fit one drawing of
+    32 columns, so the 2000 trials are drawn once, not once per graph with
+    edges (65)."""
     seen = []
     trial_rng = trials.TrialPlan.trial_rng
 
@@ -120,10 +121,9 @@ def test_percolation_draws_each_trial_once_per_run(monkeypatch):
     monkeypatch.setattr(trials.TrialPlan, "trial_rng", counted)
     corpus = base_corpus() + er_corpus(20)
     run_suites(corpus, suites=("percolation",), seed=3)
-    first = len(seen)
-    assert first <= 2 * verify.PERCOLATION_TRIALS
+    assert seen == list(range(verify.PERCOLATION_TRIALS))
     run_suites(corpus, suites=("percolation",), seed=3)
-    assert len(seen) == 2 * first
+    assert seen == list(range(verify.PERCOLATION_TRIALS)) * 2
 
 
 def test_index_suites_check_pairwise_distinct_orders(monkeypatch):
@@ -243,7 +243,7 @@ def test_every_memo_entry_after_a_dense_verify_run_is_exact(monkeypatch):
     """After the index suites on the dense benchmark graph, every chi memo
     entry, links included, and every side count equal the clique counts of
     their set, on sphere masks built apart from the calculator's; the chi
-    recursion ran 7,327 times (19,373 with no link memo)."""
+    recursion ran 7,291 times (19,337 with no link memo)."""
     from test_curvature import perfbench_inputs
     from test_morse import assert_chi_memo_exact
 
@@ -256,7 +256,7 @@ def test_every_memo_entry_after_a_dense_verify_run_is_exact(monkeypatch):
     results = run_suites([("dense", G)], suites=("poincare_hopf", "intermediate", "stability"), seed=3)
     assert summarize(results) == {"passed": 3, "failed": 0, "skipped": 0, "ok": True}
     calc = facts[0].calc
-    assert len(calls) == 7327 == sum(map(len, calc._chi_cache))
+    assert len(calls) == 7291 == sum(map(len, calc._chi_cache))
     assert_chi_memo_exact(calc)
     for x, memo in enumerate(calc._side_counts):
         masks, total = sphere_masks(G, x), calc.sphere_fvec(x)
